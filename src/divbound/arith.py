@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -50,29 +51,42 @@ _MR_TIERS = (
 )
 
 _SMALL_PRIME_LIMIT = 1 << 20
-_small_primes: list[int] | None = None
-_small_primes_lock = threading.Lock()
+
+_prime_table = np.zeros(0, dtype=np.int64)
+_prime_table_limit = 1
+_prime_table_lock = threading.Lock()
+
+
+def _prime_sieve(limit: int) -> np.ndarray:
+    """Primes <= limit as an int64 array, ascending.
+
+    Every prime list in the package comes from this one sieve. Its table
+    is cached and only ever grows; callers get a read-only prefix of it.
+    """
+    global _prime_table, _prime_table_limit
+    with _prime_table_lock:
+        if limit > _prime_table_limit:
+            mask = np.ones(limit + 1, dtype=bool)
+            mask[:2] = False
+            for p in range(2, isqrt(limit) + 1):
+                if mask[p]:
+                    mask[p * p :: p] = False
+            _prime_table = np.nonzero(mask)[0].astype(np.int64)
+            _prime_table.flags.writeable = False
+            _prime_table_limit = limit
+        table = _prime_table
+    return table[: np.searchsorted(table, limit, side="right")]
 
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return [int(p) for p in np.nonzero(mask)[0]]
+    return _prime_sieve(limit).tolist()
 
 
+@cache
 def _primes_cache() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        with _small_primes_lock:
-            if _small_primes is None:
-                _small_primes = sieve_primes(_SMALL_PRIME_LIMIT)
-    return _small_primes
+    # trial division walks a Python list: far faster than int64 scalars
+    return sieve_primes(_SMALL_PRIME_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -297,27 +311,6 @@ def divisors_up_to_fourth_root(n: int) -> list[int]:
     return [d for d in range(1, r + 1) if n % d == 0]
 
 
-_prime_array_cache: dict[int, np.ndarray] = {}
-_prime_array_lock = threading.Lock()
-
-
-def _prime_array(limit: int) -> np.ndarray:
-    """Cached ndarray of primes <= limit (grow-only, keyed by limit)."""
-    with _prime_array_lock:
-        for cap, arr in _prime_array_cache.items():
-            if cap >= limit:
-                return arr[arr <= limit]
-        mask = np.ones(limit + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        arr = np.nonzero(mask)[0].astype(np.int64)
-        _prime_array_cache.clear()
-        _prime_array_cache[limit] = arr
-        return arr
-
-
 @dataclass(frozen=True)
 class SieveSegment:
     """Smallest-prime-factor table for the inclusive range [lo, hi].
@@ -378,7 +371,7 @@ def spf_sieve_segment(
     if root > 1 << 26:
         raise ValueError("segment sieve supports hi <= 2^52")
     spf = np.zeros(length, dtype=np.int64)
-    for p in _prime_array(root) if root >= 2 else ():
+    for p in _prime_sieve(root):
         p = int(p)
         start = max(((lo + p - 1) // p) * p, p * p)
         if start > hi:

@@ -3,9 +3,10 @@
 Scans n in [1, n_max] and compares tau(n) against C * S(n), where S(n)
 sums a divisor weight over the divisors d | n with d^k <= n. The scan is
 segmented: tau comes from a per-prime exponent-extraction sieve and S from
-harvesting multiples of each small d, so no n is ever factorized on its
-own. Counters merge order-independently, which makes reports identical for
-any worker count or segment size.
+harvesting multiples of each small d, so no n is factorized on its own
+unless the weight sums overflow int64. Counters merge
+order-independently, which makes reports identical for any worker count
+or segment size.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -24,10 +25,11 @@ import numpy as np
 
 from .arith import (
     DEFAULT_SEGMENT_SIZE,
-    Factorization,
+    _prime_sieve,
     divisors_from_factorization,
     factorize,
     integer_kth_root,
+    tau,
 )
 
 __all__ = [
@@ -91,9 +93,7 @@ class CensusConfig:
         if isinstance(eta, Fraction) and eta.denominator == 1:
             eta = int(eta)
         object.__setattr__(self, "eta", eta)
-        if not isinstance(eta, int) and float(eta) < 0:
-            raise ValueError("eta must be nonnegative")
-        if isinstance(eta, int) and eta < 0:
+        if eta < 0:
             raise ValueError("eta must be nonnegative")
         c = self.constant
         if not isinstance(c, Fraction):
@@ -185,21 +185,14 @@ class CensusReport:
 # weights
 
 
-def _weight_exact(d: int, cfg: CensusConfig) -> int:
+def _weight(d: int, cfg: CensusConfig) -> int | float:
+    """weight(d): an exact integer on the exact path, float64 otherwise."""
     f = factorize(d)
-    t = 1
-    for _, a in f.factors:
-        t *= a + 1
+    t = tau(f)
     if cfg.weight == "landreau":
         return (2 ** len(f.factors) * t) ** cfg.k
-    return t**cfg.eta
-
-
-def _weight_float(d: int, cfg: CensusConfig) -> float:
-    f = factorize(d)
-    t = 1
-    for _, a in f.factors:
-        t *= a + 1
+    if cfg.exact:
+        return t**cfg.eta
     return float(t) ** float(cfg.eta)
 
 
@@ -210,9 +203,7 @@ def divisor_weight_sum(n: int, cfg: CensusConfig) -> int | float:
         raise ValueError("n must be >= 1")
     f = factorize(n)
     small = [d for d in divisors_from_factorization(f) if d**cfg.k <= n]
-    if cfg.exact:
-        return sum(_weight_exact(d, cfg) for d in small)
-    return float(sum(_weight_float(d, cfg) for d in small))
+    return sum(_weight(d, cfg) for d in small)  # d = 1 makes a float sum float
 
 
 def _weight_table(cfg: CensusConfig) -> tuple[np.ndarray, bool]:
@@ -223,41 +214,26 @@ def _weight_table(cfg: CensusConfig) -> tuple[np.ndarray, bool]:
     Python path.
     """
     d_max = integer_kth_root(cfg.n_max, cfg.k)
-    if cfg.exact:
-        weights = [0] + [_weight_exact(d, cfg) for d in range(1, d_max + 1)]
-        total = sum(weights)
-        bound = max(
-            cfg.constant.numerator * total,
-            cfg.constant.denominator * 2 * isqrt(cfg.n_max) + 1,
-        )
-        if bound < _INT64_SAFE and max(weights) < _INT64_SAFE:
-            return np.array(weights, dtype=np.int64), True
-        return np.array(weights, dtype=object), False
-    weights_f = [0.0] + [_weight_float(d, cfg) for d in range(1, d_max + 1)]
-    return np.array(weights_f, dtype=np.float64), True
+    weights = [0] + [_weight(d, cfg) for d in range(1, d_max + 1)]
+    if not cfg.exact:
+        return np.array(weights, dtype=np.float64), True
+    total = sum(weights)
+    bound = max(
+        cfg.constant.numerator * total,
+        cfg.constant.denominator * 2 * isqrt(cfg.n_max) + 1,
+    )
+    if bound < _INT64_SAFE and max(weights) < _INT64_SAFE:
+        return np.array(weights, dtype=np.int64), True
+    return np.array(weights, dtype=object), False
 
 
 # ----------------------------------------------------------------------
 # segment kernels
 
-_prime_cache: dict[int, np.ndarray] = {}
-_prime_cache_lock = threading.Lock()
-
 
 def _scan_primes(limit: int) -> np.ndarray:
-    with _prime_cache_lock:
-        for cap, arr in _prime_cache.items():
-            if cap >= limit:
-                return arr[: np.searchsorted(arr, limit, side="right")]
-        mask = np.ones(limit + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        arr = np.nonzero(mask)[0].astype(np.int64)
-        _prime_cache.clear()
-        _prime_cache[limit] = arr
-        return arr
+    """Sieving primes for a scan: the shared arith sieve, up to limit."""
+    return _prime_sieve(limit)
 
 
 def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +270,7 @@ def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray) -> np.n
     """S(n) for every n in [lo, hi]: each d with d^k <= hi contributes
     weight(d) to its multiples n >= d^k."""
     length = hi - lo + 1
-    S = np.zeros(length, dtype=w.dtype if w.dtype != object else object)
+    S = np.zeros(length, dtype=w.dtype)
     d = 1
     while d**cfg.k <= hi:
         first = max(lo, d**cfg.k)
@@ -315,33 +291,6 @@ class _SegmentResult:
     max_den: int
     argmax_n: int
     equality_ns: list[int] | None = None
-
-    def to_record(self) -> dict:
-        rec = {
-            "lo": self.lo,
-            "hi": self.hi,
-            "violations": self.violations,
-            "equalities": self.equalities,
-            "max_num": self.max_num,
-            "max_den": self.max_den,
-            "argmax_n": self.argmax_n,
-        }
-        if self.equality_ns is not None:
-            rec["equality_ns"] = self.equality_ns
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "_SegmentResult":
-        return cls(
-            lo=rec["lo"],
-            hi=rec["hi"],
-            violations=rec["violations"],
-            equalities=rec["equalities"],
-            max_num=rec["max_num"],
-            max_den=rec["max_den"],
-            argmax_n=rec["argmax_n"],
-            equality_ns=rec.get("equality_ns"),
-        )
 
 
 def _ratio_greater(num_a, den_a, n_a: int, num_b, den_b, n_b: int) -> bool:
@@ -430,9 +379,7 @@ def _scan_segment_python(
         f = factorize(n)
         if cfg.squarefree_only and any(a > 1 for _, a in f.factors):
             continue
-        t = 1
-        for _, a in f.factors:
-            t *= a + 1
+        t = tau(f)
         s = sum(
             int(w[d]) for d in divisors_from_factorization(f) if d**cfg.k <= n
         )
@@ -475,18 +422,22 @@ class _Checkpoint:
                 raw_bytes = fh.read()
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {self.path}: {exc}")
-        raw = raw_bytes.decode("utf-8", errors="replace")
-        lines = raw.split("\n")
-        trailing_partial = not raw.endswith("\n") and bool(raw)
+        lines = raw_bytes.split(b"\n")
+        # bytes after the last newline are a record cut short mid-write: it
+        # is dropped and redone, even when it happens to parse
+        partial = lines.pop()
         body = [ln for ln in lines if ln]
         if not body:
+            if partial:
+                raise CheckpointError(f"corrupt checkpoint header in {self.path}")
             return
         try:
             header = json.loads(body[0])
-        except json.JSONDecodeError:
+        except ValueError:  # also catches bytes that are not UTF-8
             raise CheckpointError(f"corrupt checkpoint header in {self.path}")
         if (
-            header.get("format") != _CHECKPOINT_MAGIC
+            not isinstance(header, dict)
+            or header.get("format") != _CHECKPOINT_MAGIC
             or header.get("version") != _CHECKPOINT_VERSION
         ):
             raise CheckpointError(f"unrecognized checkpoint format in {self.path}")
@@ -494,21 +445,17 @@ class _Checkpoint:
             raise CheckpointError(
                 "checkpoint was written for a different configuration"
             )
-        self._valid_bytes = len((body[0] + "\n").encode("utf-8"))
-        for i, line in enumerate(body[1:]):
+        for line in body[1:]:
             try:
-                rec = json.loads(line)
-                res = _SegmentResult.from_record(rec)
-            except (json.JSONDecodeError, KeyError, TypeError):
-                if trailing_partial and i == len(body) - 2:
-                    break  # interrupted mid-write; the record is simply redone
+                res = _SegmentResult(**json.loads(line))
+            except (ValueError, TypeError):
                 raise CheckpointError(f"corrupt checkpoint record in {self.path}")
             if self.collect and res.equality_ns is None:
                 raise CheckpointError(
                     "checkpoint lacks equality lists required by this run"
                 )
             self.done[(res.lo, res.hi)] = res
-            self._valid_bytes += len((line + "\n").encode("utf-8"))
+        self._valid_bytes = len(raw_bytes) - len(partial)
 
     def open_for_append(self) -> None:
         self._fh = open(self.path, "a", encoding="utf-8")
@@ -528,7 +475,10 @@ class _Checkpoint:
         with self.lock:
             self.done[(res.lo, res.hi)] = res
             if self._fh is not None:
-                self._fh.write(json.dumps(res.to_record(), sort_keys=True) + "\n")
+                rec = asdict(res)
+                if res.equality_ns is None:
+                    del rec["equality_ns"]
+                self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 self._flush()
 
     def _flush(self) -> None:
@@ -580,17 +530,9 @@ def verify_range(
         ckpt.load()
         ckpt.open_for_append()
 
-    results: list[_SegmentResult] = []
-    pending = []
-    for lo, hi in segments:
-        if ckpt is not None and (lo, hi) in ckpt.done:
-            results.append(ckpt.done[(lo, hi)])
-        else:
-            pending.append((lo, hi))
-
-    done_count = len(results)
-    total = len(segments)
-    interrupted = False
+    done = ckpt.done if ckpt is not None else {}
+    results = [done[seg] for seg in segments if seg in done]
+    pending = [seg for seg in segments if seg not in done]
 
     def run_one(seg: tuple[int, int]) -> _SegmentResult:
         lo, hi = seg
@@ -599,35 +541,24 @@ def verify_range(
             ckpt.record(res)
         return res
 
+    # Results are read in submission order, with a stop check before each.
+    # On a stop or an exception the queued segments are cancelled; the
+    # running ones finish and reach the checkpoint before it closes.
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
     try:
-        if cfg.workers == 1:
-            for seg in pending:
-                if stop_event is not None and stop_event.is_set():
-                    interrupted = True
-                    break
-                results.append(run_one(seg))
-                done_count += 1
-                if progress is not None:
-                    progress(done_count, total)
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = []
-                for seg in pending:
-                    if stop_event is not None and stop_event.is_set():
-                        interrupted = True
-                        break
-                    futures.append(pool.submit(run_one, seg))
-                for fut in futures:
-                    results.append(fut.result())
-                    done_count += 1
-                    if progress is not None:
-                        progress(done_count, total)
+        futures = [pool.submit(run_one, seg) for seg in pending]
+        for fut in futures:
+            if stop_event is not None and stop_event.is_set():
+                raise ScanInterrupted(
+                    "scan interrupted; completed segments checkpointed"
+                )
+            results.append(fut.result())
+            if progress is not None:
+                progress(len(results), len(segments))
     finally:
+        pool.shutdown(cancel_futures=True)
         if ckpt is not None:
             ckpt.close()
-
-    if interrupted:
-        raise ScanInterrupted("scan interrupted; completed segments checkpointed")
 
     violations = sum(r.violations for r in results)
     equalities = sum(r.equalities for r in results)

@@ -3,7 +3,8 @@
 Subcommands: witness, verify, census-curve, lowerbound, gaussian, rho.
 Scalar results go to stdout as JSON, tables as CSV; progress and
 diagnostics go to stderr. Exit codes: 0 success, 1 a genuine mathematical
-violation was found, 2 usage error, 3 runtime fault.
+violation was found, 2 usage error, 3 runtime fault, 130 interrupted by
+SIGINT (segments finished so far are in the checkpoint).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_FAULT = 3
+EXIT_INTERRUPTED = 130
 
 
 def _emit(payload: dict | list) -> None:
@@ -308,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAULT
     except ScanInterrupted as exc:
         print(str(exc), file=sys.stderr)
-        return 130
+        return EXIT_INTERRUPTED
     except CertificationError as exc:
         print(f"internal certification fault: {exc}", file=sys.stderr)
         return EXIT_FAULT

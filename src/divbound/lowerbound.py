@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, divisors_from_factorization, is_prime, next_prime_in
+from .arith import (
+    Factorization,
+    divisors_from_factorization,
+    factorize,
+    is_prime,
+    next_prime_in,
+    tau,
+)
 
 __all__ = ["LowerBoundInstance", "build_instance", "verify_instance"]
 
@@ -21,20 +28,7 @@ MAX_K = 12
 
 
 def _tau_pow7(d: int) -> int:
-    t = 1
-    m = d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            t *= e + 1
-        p += 1
-    if m > 1:
-        t *= 2
-    return t**7
+    return tau(factorize(d)) ** 7
 
 
 @dataclass(frozen=True)

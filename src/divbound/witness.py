@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .arith import Factorization, factorize, next_prime_after
+from .arith import Factorization, factorize, next_prime_after, tau
 
 __all__ = [
     "CertificationError",
@@ -81,26 +82,9 @@ def split_by_exponent(f: Factorization) -> ExponentSplit:
     s1, s2, s3, hi = _split_factors(f.factors)
 
     def build(fs: list) -> Factorization:
-        n = 1
-        for p, a in fs:
-            n *= p**a
-        return Factorization(n, tuple(fs))
+        return Factorization(prod(p**a for p, a in fs), tuple(fs))
 
     return ExponentSplit(build(s1), build(s2), build(s3), build(hi))
-
-
-def _product(factors: list[tuple[int, int]]) -> int:
-    n = 1
-    for p, a in factors:
-        n *= p**a
-    return n
-
-
-def _tau_of(factors: list[tuple[int, int]]) -> int:
-    t = 1
-    for _, a in factors:
-        t *= a + 1
-    return t
 
 
 # Per-part choices. Each helper takes the part's (prime, exponent) list and
@@ -159,12 +143,12 @@ def _choose_cube(factors: list[tuple[int, int]]) -> tuple[int, int, Fraction]:
 
 
 def _certify_part(
-    part: list[tuple[int, int]], d: int, tau_d: int, c: Fraction, power: int
+    part: Factorization, d: int, tau_d: int, c: Fraction, power: int
 ) -> None:
-    n = _product(part)
+    n = part.n
     if n % d != 0 or d**4 > n:
         raise CertificationError(f"divisor {d} violates d | {n}, d^4 <= n")
-    lhs = _tau_of(part) * c.denominator
+    lhs = tau(part) * c.denominator
     rhs = c.numerator * tau_d**power
     if lhs > rhs:
         raise CertificationError(
@@ -180,9 +164,8 @@ def witness_high_exponent(part: Factorization) -> tuple[int, Fraction]:
     """
     if any(a < 4 for _, a in part.factors):
         raise ValueError("every exponent must be >= 4")
-    factors = list(part.factors)
-    d, tau_d, c = _choose_high(factors)
-    _certify_part(factors, d, tau_d, c, 4)
+    d, tau_d, c = _choose_high(list(part.factors))
+    _certify_part(part, d, tau_d, c, 4)
     return d, c
 
 
@@ -194,9 +177,8 @@ def witness_squarefree(part: Factorization) -> tuple[int, Fraction]:
     """
     if any(a != 1 for _, a in part.factors):
         raise ValueError("part must be squarefree")
-    factors = list(part.factors)
-    d, tau_d, c = _choose_squarefree(factors)
-    _certify_part(factors, d, tau_d, c, 7)
+    d, tau_d, c = _choose_squarefree(list(part.factors))
+    _certify_part(part, d, tau_d, c, 7)
     return d, c
 
 
@@ -206,9 +188,8 @@ def witness_square_part(part: Factorization) -> tuple[int, Fraction]:
     three, squares of the floor(t/4) smallest primes with c = 1 beyond."""
     if any(a != 2 for _, a in part.factors):
         raise ValueError("every exponent must equal 2")
-    factors = list(part.factors)
-    d, tau_d, c = _choose_square(factors)
-    _certify_part(factors, d, tau_d, c, 7)
+    d, tau_d, c = _choose_square(list(part.factors))
+    _certify_part(part, d, tau_d, c, 7)
     return d, c
 
 
@@ -218,9 +199,8 @@ def witness_cube_part(part: Factorization) -> tuple[int, Fraction]:
     prime, its square), cubes of the floor(t/4) smallest primes beyond."""
     if any(a != 3 for _, a in part.factors):
         raise ValueError("every exponent must equal 3")
-    factors = list(part.factors)
-    d, tau_d, c = _choose_cube(factors)
-    _certify_part(factors, d, tau_d, c, 7)
+    d, tau_d, c = _choose_cube(list(part.factors))
+    _certify_part(part, d, tau_d, c, 7)
     return d, c
 
 
@@ -386,7 +366,7 @@ def obstruction_instance(
     squares = primes[:t1]
     cubes = primes[t1:]
     factors = sorted([(p, 2) for p in squares] + [(q, 3) for q in cubes])
-    f = Factorization(_product(factors), tuple(factors))
+    f = Factorization(prod(p**a for p, a in factors), tuple(factors))
 
     d = 1
     for p in squares[: t1 // 4]:

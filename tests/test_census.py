@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from divbound import census
 from divbound.arith import factorize, omega, tau
 from divbound.census import (
     CensusConfig,
     CheckpointError,
+    ScanInterrupted,
     _harvest_segment,
     _scan_primes,
     _tau_segment,
@@ -327,9 +331,104 @@ class TestCheckpointing:
 
     def test_garbage_header_raises(self, tmp_path):
         path = tmp_path / "scan.ckpt"
-        path.write_text("definitely not json\n")
-        with pytest.raises(CheckpointError):
-            verify_range(CensusConfig(n_max=100), checkpoint=str(path))
+        for garbage in ("definitely not json\n", "[1]\n"):
+            path.write_text(garbage)
+            with pytest.raises(CheckpointError):
+                verify_range(CensusConfig(n_max=100), checkpoint=str(path))
+
+    def test_record_bytes_are_stable(self, tmp_path):
+        # existing checkpoints must keep resuming: records are sorted-key JSON
+        # and carry equality_ns only when the run collects equalities
+        cfg = CensusConfig(n_max=2000, segment_size=400)
+        plain, listed = tmp_path / "plain.ckpt", tmp_path / "listed.ckpt"
+        verify_range(cfg, checkpoint=str(plain))
+        verify_range(cfg, checkpoint=str(listed), collect_equalities=True)
+        assert plain.read_bytes().split(b"\n")[2] == (
+            b'{"argmax_n": 455, "equalities": 2, "hi": 800, "lo": 401, '
+            b'"max_den": 1, "max_num": 8, "violations": 0}'
+        )
+        assert listed.read_bytes().split(b"\n")[2] == (
+            b'{"argmax_n": 455, "equalities": 2, "equality_ns": [455, 595], '
+            b'"hi": 800, "lo": 401, "max_den": 1, "max_num": 8, "violations": 0}'
+        )
+
+    def test_blank_line_then_truncated_record_resumes_twice(self, tmp_path):
+        cfg = CensusConfig(n_max=2000, segment_size=400)
+        path = tmp_path / "scan.ckpt"
+        verify_range(cfg, checkpoint=str(path))
+        header, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n\n" + rest[:-20])
+        expected = verify_range(cfg).to_json()
+        assert verify_range(cfg, checkpoint=str(path)).to_json() == expected
+        assert verify_range(cfg, checkpoint=str(path)).to_json() == expected
+
+    def test_every_truncation_and_byte_flip_resumes_or_raises(self, tmp_path):
+        """Cut the checkpoint at every byte offset, and separately invert
+        every byte (all bits, so an ASCII byte never stays valid UTF-8).
+        The first resume either raises CheckpointError or reproduces the
+        uninterrupted report; in the latter case so must a second one,
+        which reads the file the first resume repaired and extended."""
+        cfg = CensusConfig(n_max=2000, segment_size=400)
+        path = tmp_path / "scan.ckpt"
+        verify_range(cfg, checkpoint=str(path))
+        data = path.read_bytes()
+        expected = verify_range(cfg).to_json()
+        damaged = [data[:i] for i in range(len(data))] + [
+            data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :]
+            for i in range(len(data))
+        ]
+        for i, blob in enumerate(damaged):
+            path.write_bytes(blob)
+            try:
+                first = verify_range(cfg, checkpoint=str(path)).to_json()
+            except CheckpointError:
+                continue
+            assert first == expected, i
+            assert verify_range(cfg, checkpoint=str(path)).to_json() == expected, i
+
+
+def _slowed_segments(monkeypatch, fail_lo: int | None = None) -> list[int]:
+    """Make every segment sleep briefly, so queued segments are still queued
+    when the driver reacts; optionally fail the segment starting at fail_lo.
+    Returns the list of segment starts that actually ran."""
+    real = census._scan_segment
+    started: list[int] = []
+
+    def scan(lo, *args):
+        started.append(lo)
+        if lo == fail_lo:
+            raise RuntimeError("segment fault")
+        time.sleep(0.02)
+        return real(lo, *args)
+
+    monkeypatch.setattr(census, "_scan_segment", scan)
+    return started
+
+
+class TestInterruption:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stop_checkpoints_a_prefix_and_resumes(
+        self, tmp_path, monkeypatch, workers
+    ):
+        cfg = CensusConfig(n_max=20000, segment_size=1000, workers=workers)
+        path = tmp_path / "scan.ckpt"
+        stop = threading.Event()
+        _slowed_segments(monkeypatch)
+        with pytest.raises(ScanInterrupted):
+            verify_range(cfg, checkpoint=str(path),
+                         progress=lambda done, total: stop.set(), stop_event=stop)
+        records = path.read_text().splitlines()[1:]
+        assert 1 <= len(records) < 20
+        monkeypatch.undo()
+        resumed = verify_range(cfg, checkpoint=str(path))
+        assert resumed.to_json() == verify_range(cfg).to_json()
+
+    def test_failed_segment_cancels_queued_segments(self, monkeypatch):
+        cfg = CensusConfig(n_max=20000, segment_size=1000, workers=2)
+        started = _slowed_segments(monkeypatch, fail_lo=1)
+        with pytest.raises(RuntimeError, match="segment fault"):
+            verify_range(cfg)
+        assert len(started) < 20
 
 
 class TestBestConstantCurve:
