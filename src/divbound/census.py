@@ -2,9 +2,10 @@
 
 Scans n in [1, n_max] and compares tau(n) against C * S(n), where S(n)
 sums a divisor weight over the divisors d | n with d^k <= n. The scan is
-segmented: tau comes from a per-prime exponent-extraction sieve and S from
-harvesting multiples of each small d, so no n is factorized on its own
-unless the weight sums overflow int64. Counters merge
+segmented: tau comes from a strided sieve over prime powers p^j <= hi,
+which updates tau in place on the basic slice of multiples of each p^j,
+and S from harvesting multiples of each small d, so no n is factorized on
+its own unless the weight sums overflow int64. Counters merge
 order-independently, which makes reports identical for any worker count
 or segment size.
 """
@@ -237,32 +238,45 @@ def _scan_primes(limit: int) -> np.ndarray:
 
 
 def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tau(n) and a squarefree flag for every n in [lo, hi], by extracting
-    prime exponents for all multiples of each sieving prime at once."""
+    """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
+
+    A strided sieve over prime powers: for each sieving prime p with
+    p^2 <= hi (primes must hold every one, ascending) and each q = p^j <= hi,
+    the multiples of q in the segment are the basic slice [(-lo) % q :: q].
+    At j = 1 tau doubles; at j >= 2 tau is divided by j and multiplied by
+    j + 1. The division is exact: every multiple of p^j is a multiple of
+    p^(j-1), whose step left the factor j in its tau (j = 1 multiplied by
+    2, and step j - 1 >= 2 multiplied by j). After the last power, tau
+    holds prod (e + 1) over the sieving primes and prod holds the part of
+    n built from them. The cofactor n / prod has no prime factor p with
+    p^2 <= hi, so it is 1 or a single prime: two such primes would make it
+    larger than hi. Where prod != n, tau doubles once for that prime.
+    """
     length = hi - lo + 1
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
     tau = np.ones(length, dtype=np.int64)
     sqfree = np.ones(length, dtype=bool)
+    prod = np.ones(length, dtype=np.int64)
     for p in primes:
         p = int(p)
         if p * p > hi:
             break
-        start = ((lo + p - 1) // p) * p
-        if start > hi:
-            continue
-        idx = np.arange(start - lo, length, p)
-        m = rem[idx] // p
-        e = np.ones(idx.size, dtype=np.int64)
-        sub = np.nonzero(m % p == 0)[0]
-        while sub.size:
-            m[sub] //= p
-            e[sub] += 1
-            sub = sub[m[sub] % p == 0]
-        rem[idx] = m
-        tau[idx] *= e + 1
-        sqfree[idx] &= e == 1
-    big = rem > 1
-    tau[big] *= 2
+        q, j = p, 1
+        while q <= hi:
+            s = (-lo) % q
+            if s >= length:
+                break  # no multiple of q here, nor of any higher power
+            view = tau[s::q]
+            if j == 1:
+                view *= 2
+            else:
+                view //= j
+                view *= j + 1
+                if j == 2:
+                    sqfree[s::q] = False
+            prod[s::q] *= p
+            q *= p
+            j += 1
+    tau[prod != np.arange(lo, hi + 1, dtype=np.int64)] *= 2
     return tau, sqfree
 
 
@@ -534,7 +548,16 @@ def verify_range(
     results = [done[seg] for seg in segments if seg in done]
     pending = [seg for seg in segments if seg not in done]
 
+    def check_stop() -> None:
+        if stop_event is not None and stop_event.is_set():
+            raise ScanInterrupted("scan interrupted; completed segments checkpointed")
+
     def run_one(seg: tuple[int, int]) -> _SegmentResult:
+        # A worker left free while the main thread waits on a slow segment
+        # must not start queued ones after a stop. It raises rather than
+        # return a placeholder, which could race past the main thread's
+        # check into the results.
+        check_stop()
         lo, hi = seg
         res = _scan_segment(lo, hi, cfg, w, primes, int64_ok, collect_equalities)
         if ckpt is not None:
@@ -548,10 +571,7 @@ def verify_range(
     try:
         futures = [pool.submit(run_one, seg) for seg in pending]
         for fut in futures:
-            if stop_event is not None and stop_event.is_set():
-                raise ScanInterrupted(
-                    "scan interrupted; completed segments checkpointed"
-                )
+            check_stop()
             results.append(fut.result())
             if progress is not None:
                 progress(len(results), len(segments))

@@ -4,9 +4,12 @@ import json
 import threading
 import time
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbound import census
 from divbound.arith import factorize, omega, tau
@@ -25,6 +28,31 @@ from divbound.census import (
     verify_range,
 )
 from oracles import oracle_tau, oracle_weight_sum
+
+
+def _check_tau_segment(lo: int, hi: int) -> None:
+    """_tau_segment on [lo, hi] against factorize, with exactly the sieving
+    primes up to isqrt(hi) and with a longer list that must be cut off."""
+    want_tau, want_sqfree = [], []
+    for n in range(lo, hi + 1):
+        f = factorize(n)
+        want_tau.append(tau(f))
+        want_sqfree.append(all(a == 1 for _, a in f.factors))
+    for primes in (_scan_primes(isqrt(hi)), _scan_primes(4 * isqrt(hi) + 100)):
+        t, sq = _tau_segment(lo, hi, primes)
+        assert t.tolist() == want_tau
+        assert sq.tolist() == want_sqfree
+
+
+_TAU_EDGE_WINDOWS = (
+    [(1, 1)]
+    # windows that start exactly at p^j
+    + [(p**j, p**j + 300) for p, j in [(2, 1), (2, 10), (2, 26), (3, 16),
+                                       (7, 9), (9973, 1), (9973, 2)]]
+    # windows that end at p^2 - 1 and at p^2
+    + [(max(1, p * p - 300), p * p - e) for p in (2, 3, 97, 9973) for e in (1, 0)]
+    + [(10**8 - 1999, 10**8)]
+)
 
 
 def brute_report(n_max: int, constant: Fraction = Fraction(8)):
@@ -115,6 +143,15 @@ class TestSegmentKernels:
         t, _ = _tau_segment(lo, hi, primes)
         for n in range(lo, hi + 1):
             assert t[n - lo] == tau(factorize(n))
+
+    @given(lo=st.integers(1, 10**8), length=st.integers(1, 4096))
+    @settings(max_examples=50, deadline=None)
+    def test_tau_segment_property(self, lo, length):
+        _check_tau_segment(lo, lo + length - 1)
+
+    @pytest.mark.parametrize("lo, hi", _TAU_EDGE_WINDOWS)
+    def test_tau_segment_edges(self, lo, hi):
+        _check_tau_segment(lo, hi)
 
     def test_harvest_equals_direct_enumeration(self):
         cfg = CensusConfig(n_max=10**4)
@@ -387,10 +424,13 @@ class TestCheckpointing:
             assert verify_range(cfg, checkpoint=str(path)).to_json() == expected, i
 
 
-def _slowed_segments(monkeypatch, fail_lo: int | None = None) -> list[int]:
+def _slowed_segments(
+    monkeypatch, fail_lo: int | None = None, slow_lo: int | None = None
+) -> list[int]:
     """Make every segment sleep briefly, so queued segments are still queued
-    when the driver reacts; optionally fail the segment starting at fail_lo.
-    Returns the list of segment starts that actually ran."""
+    when the driver reacts; optionally fail the segment starting at fail_lo,
+    or hold the one starting at slow_lo for a second. Returns the list of
+    segment starts that actually ran."""
     real = census._scan_segment
     started: list[int] = []
 
@@ -398,7 +438,7 @@ def _slowed_segments(monkeypatch, fail_lo: int | None = None) -> list[int]:
         started.append(lo)
         if lo == fail_lo:
             raise RuntimeError("segment fault")
-        time.sleep(0.02)
+        time.sleep(1.0 if lo == slow_lo else 0.02)
         return real(lo, *args)
 
     monkeypatch.setattr(census, "_scan_segment", scan)
@@ -419,6 +459,26 @@ class TestInterruption:
                          progress=lambda done, total: stop.set(), stop_event=stop)
         records = path.read_text().splitlines()[1:]
         assert 1 <= len(records) < 20
+        monkeypatch.undo()
+        resumed = verify_range(cfg, checkpoint=str(path))
+        assert resumed.to_json() == verify_range(cfg).to_json()
+
+    def test_stop_while_waiting_on_a_slow_segment(self, tmp_path, monkeypatch):
+        # the main thread blocks on segment 1 while the other worker is free;
+        # after the stop that worker must not start the queued segments
+        cfg = CensusConfig(n_max=2000, segment_size=100, workers=2)
+        path = tmp_path / "scan.ckpt"
+        stop = threading.Event()
+        started = _slowed_segments(monkeypatch, slow_lo=1)
+        timer = threading.Timer(0.1, stop.set)
+        timer.start()
+        try:
+            with pytest.raises(ScanInterrupted):
+                verify_range(cfg, checkpoint=str(path), stop_event=stop)
+        finally:
+            timer.cancel()
+        assert 1 in started
+        assert len(started) < 20
         monkeypatch.undo()
         resumed = verify_range(cfg, checkpoint=str(path))
         assert resumed.to_json() == verify_range(cfg).to_json()
