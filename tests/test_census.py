@@ -27,7 +27,7 @@ from divbound.census import (
     equality_census,
     verify_range,
 )
-from oracles import oracle_tau, oracle_weight_sum
+from oracles import oracle_factor, oracle_tau, oracle_weight_sum
 
 
 def _check_tau_segment(lo: int, hi: int) -> None:
@@ -96,6 +96,9 @@ class TestConfig:
             CensusConfig(n_max=10, weight="nope")
         with pytest.raises(ValueError):
             CensusConfig(n_max=10, eta=-1)
+        for eta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CensusConfig(n_max=10, eta=eta)
         with pytest.raises(ValueError):
             CensusConfig(n_max=10, constant=Fraction(0))
 
@@ -221,6 +224,28 @@ class TestVerifyRange:
             assert other.max_ratio == base.max_ratio
             assert other.argmax_n == base.argmax_n
 
+    @given(
+        n_seg=st.integers(1, 5000).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n))
+        ),
+        workers=st.sampled_from([1, 2]),
+        eta=st.sampled_from([7, 40]),
+        squarefree_only=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_report_determinism_property(self, n_seg, workers, eta, squarefree_only):
+        # any segment size in [1, n_max] and any worker count give the
+        # one-segment payload, apart from the echoed segmentation
+        n_max, seg = n_seg
+        kw = dict(n_max=n_max, eta=eta, squarefree_only=squarefree_only)
+        one = verify_range(CensusConfig(**kw, segment_size=n_max)).payload()
+        got = verify_range(
+            CensusConfig(**kw, segment_size=seg, workers=workers)
+        ).payload()
+        for payload in (one, got):
+            del payload["config"]["segment_size"], payload["segments_processed"]
+        assert got == one
+
     def test_byte_identical_payload_across_workers(self):
         cfg1 = CensusConfig(n_max=30000, segment_size=4096, workers=1)
         cfg8 = CensusConfig(n_max=30000, segment_size=4096, workers=8)
@@ -262,20 +287,49 @@ class TestVerifyRange:
         assert payload["arithmetic"] == "float64"
         assert "float_rel_tol" in payload
 
-    def test_wide_weight_fallback_matches_numpy_path(self):
-        # eta large enough to overflow int64 forces the pure python path
-        wide = verify_range(CensusConfig(n_max=300, eta=40))
-        w, ok = _weight_table(CensusConfig(n_max=300, eta=40))
+    # Each config overflows int64, so S is summed in Python ints and
+    # compared census._WIDE_CHUNK (4096) n at a time. n_max = 9000 spans
+    # three windows, and segment_size = 5000 splits the second of them.
+    @pytest.mark.parametrize(
+        "kwargs, collect",
+        [
+            (dict(n_max=300, eta=40), False),
+            (dict(n_max=9000, eta=40, segment_size=5000), True),
+            (dict(n_max=9000, eta=40, squarefree_only=True), True),
+            (dict(n_max=9000, constant=Fraction(10**30)), False),
+            (dict(n_max=9000, constant=Fraction(1, 10**30), segment_size=5000), True),
+            (dict(n_max=9000, k=9, weight="landreau", constant=Fraction(10**30)),
+             False),
+        ],
+        ids=["eta40-300", "eta40-segments", "eta40-squarefree", "c1e30",
+             "c1e-30", "landreau-k9"],
+    )
+    def test_wide_weight_fallback_matches_numpy_path(self, kwargs, collect):
+        cfg = CensusConfig(**kwargs)
+        _, ok = _weight_table(cfg)
         assert not ok
-        violations = equalities = 0
-        for n in range(1, 301):
-            t, s = oracle_tau(n), oracle_weight_sum(n, eta=40)
-            if t > 8 * s:
+        wide = verify_range(cfg, collect_equalities=collect)
+        cn, cd = cfg.constant.numerator, cfg.constant.denominator
+        violations, equality_ns, best = 0, [], (0, 1, None)
+        for n in range(1, cfg.n_max + 1):
+            if cfg.squarefree_only and any(a > 1 for _, a in oracle_factor(n)):
+                continue
+            t = oracle_tau(n)
+            if cfg.weight == "landreau":
+                s = divisor_weight_sum(n, cfg)
+            else:
+                s = oracle_weight_sum(n, k=cfg.k, eta=cfg.eta)
+            if cd * t > cn * s:
                 violations += 1
-            elif t == 8 * s:
-                equalities += 1
+            elif cd * t == cn * s:
+                equality_ns.append(n)
+            if best[2] is None or t * best[1] > best[0] * s:
+                best = (t, s, n)
         assert wide.violations == violations
-        assert wide.equalities == equalities
+        assert wide.equalities == len(equality_ns)
+        assert wide.equality_ns == (equality_ns if collect else None)
+        assert wide.max_ratio == Fraction(best[0], best[1])
+        assert wide.argmax_n == best[2]
 
 
 class TestWitnessTermInsideSum:
