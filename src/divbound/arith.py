@@ -10,7 +10,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cache
-from math import isqrt
+from itertools import chain, count
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -51,6 +52,12 @@ _MR_TIERS = (
 )
 
 _SMALL_PRIME_LIMIT = 1 << 20
+
+# _factor_int trial-divides a cofactor below 2^64 only by the primes up to
+# _TRIAL_LIMIT; Brent's rho splits what is left. _RHO_BATCH differences
+# share one gcd.
+_TRIAL_LIMIT = 1 << 10
+_RHO_BATCH = 32
 
 _prime_table = np.zeros(0, dtype=np.int64)
 _prime_table_limit = 1
@@ -187,11 +194,14 @@ class Factorization:
 def _factor_int(n: int) -> list[tuple[int, int]]:
     factors: list[tuple[int, int]] = []
     m = n
-    last = 1
-    for p in _primes_cache():
+    for p in chain(_primes_cache(), count(_SMALL_PRIME_LIMIT + 1, 2)):
         if p * p > m:
             break
-        last = p
+        if p > _TRIAL_LIMIT and m < 1 << 64:
+            # every prime factor of m exceeds the trial limit. At or above
+            # 2^64 trial division goes on: is_prime is exact only below.
+            primes = _prime_divisors(m)
+            return factors + [(q, primes.count(q)) for q in sorted(set(primes))]
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -203,32 +213,61 @@ def _factor_int(n: int) -> list[tuple[int, int]]:
             if m < 1 << 64 and is_prime(m):
                 factors.append((m, 1))
                 return factors
-    else:
-        # cached primes exhausted: continue by odd trial division
-        c = last + 2
-        while c * c <= m:
-            if m % c == 0:
-                e = 0
-                while m % c == 0:
-                    m //= c
-                    e += 1
-                factors.append((c, e))
-                if m == 1:
-                    return factors
-                if m < 1 << 64 and is_prime(m):
-                    factors.append((m, 1))
-                    return factors
-            c += 2
     if m > 1:
         factors.append((m, 1))
     return factors
 
 
+def _prime_divisors(m: int) -> list[int]:
+    """Prime factors of 1 < m < 2^64 with multiplicity, in no set order."""
+    if is_prime(m):
+        return [m]
+    d = _brent(m)
+    return _prime_divisors(d) + _prime_divisors(m // d)
+
+
+def _brent(n: int) -> int:
+    """A proper divisor of the composite n, by Brent's cycle-finding variant
+    of Pollard's rho (R. P. Brent, BIT 20, 1980).
+
+    Iterates y -> y^2 + c (mod n) from y = 2 for c = 1, 2, ... and takes the
+    gcd of _RHO_BATCH products of differences at a time. A batch whose gcd
+    is n is replayed one step at a time; if that gives n as well, the next
+    c starts over. Deterministic: the same n always yields the same divisor.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def factorize(n: int, segment: "SieveSegment | None" = None) -> Factorization:
     """Canonical Factorization of n >= 1.
 
-    Uses the segment's smallest-prime-factor table when n falls inside it,
-    otherwise trial division by sieved primes (deterministic either way).
+    Uses the segment's smallest-prime-factor table when n falls inside it.
+    Otherwise it trial-divides by the primes up to 2^10; a cofactor below
+    2^64 that is still composite is split by Brent's rho with fixed
+    constants, every part tested by the deterministic is_prime. A cofactor
+    at or above 2^64 goes on by trial division, because is_prime is only
+    exact below 2^64. The result is deterministic either way.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; argument must be >= 1")
@@ -331,18 +370,18 @@ class SieveSegment:
     def factor(self, n: int) -> list[tuple[int, int]]:
         """Prime-power factorization of n using the table for the first step.
 
-        Cofactors that fall outside the segment are finished by trial
-        division; with lo = 1 the whole chase stays inside the table.
+        A cofactor that falls outside the segment is factored in one
+        _factor_int call; with lo = 1 the whole chase stays inside the table.
         """
         if not self.lo <= n <= self.hi:
             raise ValueError(f"{n} outside segment [{self.lo}, {self.hi}]")
         factors: list[tuple[int, int]] = []
         m = n
         while m > 1:
-            if self.lo <= m <= self.hi:
-                p = int(self.spf[m - self.lo])
-            else:
-                p = _factor_int(m)[0][0]
+            if not self.lo <= m <= self.hi:
+                factors += _factor_int(m)
+                break
+            p = int(self.spf[m - self.lo])
             e = 0
             while m % p == 0:
                 m //= p

@@ -421,7 +421,15 @@ def _compare_window(
 # checkpointing
 
 _CHECKPOINT_MAGIC = "divbound-checkpoint"
-_CHECKPOINT_VERSION = 1
+# Version 2 records carry "digest", the sha256 of the record's canonical
+# JSON without that key. Version-1 files (no digests) still resume, and
+# keep getting version-1 records appended.
+_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSIONS = (1, 2)
+
+
+def _record_digest(rec: dict) -> str:
+    return hashlib.sha256(json.dumps(rec, sort_keys=True).encode()).hexdigest()
 
 
 class _Checkpoint:
@@ -433,6 +441,7 @@ class _Checkpoint:
         self.done: dict[tuple[int, int], _SegmentResult] = {}
         self._fh = None
         self._valid_bytes = 0
+        self.version = _CHECKPOINT_VERSION
 
     def load(self) -> None:
         if not os.path.exists(self.path):
@@ -458,18 +467,25 @@ class _Checkpoint:
         if (
             not isinstance(header, dict)
             or header.get("format") != _CHECKPOINT_MAGIC
-            or header.get("version") != _CHECKPOINT_VERSION
+            or header.get("version") not in _CHECKPOINT_VERSIONS
         ):
             raise CheckpointError(f"unrecognized checkpoint format in {self.path}")
         if header.get("config_hash") != self.cfg.digest():
             raise CheckpointError(
                 "checkpoint was written for a different configuration"
             )
+        self.version = header["version"]
         for line in body[1:]:
             try:
-                res = _SegmentResult(**json.loads(line))
-            except (ValueError, TypeError):
+                rec = json.loads(line)
+                digest = rec.pop("digest", None) if self.version >= 2 else None
+                res = _SegmentResult(**rec)
+            except (ValueError, TypeError, AttributeError):
                 raise CheckpointError(f"corrupt checkpoint record in {self.path}")
+            if self.version >= 2 and digest != _record_digest(rec):
+                raise CheckpointError(
+                    f"checkpoint record digest mismatch in {self.path}"
+                )
             if self.collect and res.equality_ns is None:
                 raise CheckpointError(
                     "checkpoint lacks equality lists required by this run"
@@ -498,6 +514,8 @@ class _Checkpoint:
                 rec = asdict(res)
                 if res.equality_ns is None:
                     del rec["equality_ns"]
+                if self.version >= 2:
+                    rec["digest"] = _record_digest(rec)
                 self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 self._flush()
 
@@ -537,6 +555,8 @@ def verify_range(
 
     Resumable: with a checkpoint path, completed segments are skipped on
     restart and the merged report is identical to an uninterrupted run.
+    A corrupt record, or one whose digest does not match, raises
+    CheckpointError.
     Raises ScanInterrupted after checkpointing when stop_event is set.
     """
     t0 = time.monotonic()

@@ -90,66 +90,71 @@ def split_by_exponent(f: Factorization) -> ExponentSplit:
 # Per-part choices. Each helper takes the part's (prime, exponent) list and
 # returns (d, tau_d, c) such that d divides the part, d^4 <= part and
 # tau(part) <= c * tau(d)^power with power = 4 for the high part, 7 otherwise.
+# The constant c is an integer pair (num, den), so construct_witness builds
+# no Fraction per n; the public witness_* functions return it as a Fraction.
+
+_Constant = tuple[int, int]
 
 
-def _choose_high(factors: list[tuple[int, int]]) -> tuple[int, int, Fraction]:
+def _choose_high(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
     d = 1
     tau_d = 1
     for p, a in factors:
         d *= p ** (a // 4)
         tau_d *= a // 4 + 1
-    return d, tau_d, Fraction(1, 2 ** len(factors))
+    return d, tau_d, (1, 2 ** len(factors))
 
 
-def _choose_squarefree(factors: list[tuple[int, int]]) -> tuple[int, int, Fraction]:
+def _choose_squarefree(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
     t = len(factors)
     if t <= 3:
-        return 1, 1, Fraction(2**t)
+        return 1, 1, (2**t, 1)
     d = 1
     for p, _ in factors[: t // 4]:
         d *= p
-    return d, 2 ** (t // 4), Fraction(1)
+    return d, 2 ** (t // 4), (1, 1)
 
 
-def _choose_square(factors: list[tuple[int, int]]) -> tuple[int, int, Fraction]:
+def _choose_square(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
     t = len(factors)
     if t == 0:
-        return 1, 1, Fraction(1)
+        return 1, 1, (1, 1)
     if t == 1:
-        return 1, 1, Fraction(3)
+        return 1, 1, (3, 1)
     if t <= 3:
-        return factors[0][0], 2, Fraction(1, 4)
+        return factors[0][0], 2, (1, 4)
     d = 1
     for p, _ in factors[: t // 4]:
         d *= p * p
-    return d, 3 ** (t // 4), Fraction(1)
+    return d, 3 ** (t // 4), (1, 1)
 
 
-def _choose_cube(factors: list[tuple[int, int]]) -> tuple[int, int, Fraction]:
+def _choose_cube(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
     t = len(factors)
     if t == 0:
-        return 1, 1, Fraction(1)
+        return 1, 1, (1, 1)
     if t == 1:
-        return 1, 1, Fraction(4)
+        return 1, 1, (4, 1)
     if t == 2:
-        return factors[0][0], 2, Fraction(1, 8)
+        return factors[0][0], 2, (1, 8)
     if t == 3:
         p = factors[0][0]
-        return p * p, 3, Fraction(1, 32)
+        return p * p, 3, (1, 32)
     d = 1
     for p, _ in factors[: t // 4]:
         d *= p**3
-    return d, 4 ** (t // 4), Fraction(1)
+    return d, 4 ** (t // 4), (1, 1)
 
 
 def _certify_part(
-    part: Factorization, d: int, tau_d: int, c: Fraction, power: int
+    part: Factorization, d: int, tau_d: int, c: _Constant, power: int
 ) -> None:
     n = part.n
     if n % d != 0 or d**4 > n:
         raise CertificationError(f"divisor {d} violates d | {n}, d^4 <= n")
-    lhs = tau(part) * c.denominator
-    rhs = c.numerator * tau_d**power
+    num, den = c
+    lhs = tau(part) * den
+    rhs = num * tau_d**power
     if lhs > rhs:
         raise CertificationError(
             f"tau bound failed for part {n}: {lhs} > {rhs} (d = {d})"
@@ -166,7 +171,7 @@ def witness_high_exponent(part: Factorization) -> tuple[int, Fraction]:
         raise ValueError("every exponent must be >= 4")
     d, tau_d, c = _choose_high(list(part.factors))
     _certify_part(part, d, tau_d, c, 4)
-    return d, c
+    return d, Fraction(*c)
 
 
 def witness_squarefree(part: Factorization) -> tuple[int, Fraction]:
@@ -179,7 +184,7 @@ def witness_squarefree(part: Factorization) -> tuple[int, Fraction]:
         raise ValueError("part must be squarefree")
     d, tau_d, c = _choose_squarefree(list(part.factors))
     _certify_part(part, d, tau_d, c, 7)
-    return d, c
+    return d, Fraction(*c)
 
 
 def witness_square_part(part: Factorization) -> tuple[int, Fraction]:
@@ -190,7 +195,7 @@ def witness_square_part(part: Factorization) -> tuple[int, Fraction]:
         raise ValueError("every exponent must equal 2")
     d, tau_d, c = _choose_square(list(part.factors))
     _certify_part(part, d, tau_d, c, 7)
-    return d, c
+    return d, Fraction(*c)
 
 
 def witness_cube_part(part: Factorization) -> tuple[int, Fraction]:
@@ -201,7 +206,7 @@ def witness_cube_part(part: Factorization) -> tuple[int, Fraction]:
         raise ValueError("every exponent must equal 3")
     d, tau_d, c = _choose_cube(list(part.factors))
     _certify_part(part, d, tau_d, c, 7)
-    return d, c
+    return d, Fraction(*c)
 
 
 @dataclass(frozen=True)
@@ -280,12 +285,13 @@ def _dispatch_m(
         return dp * d2, 2 * t2, f"sf{w1}-cu1-minprime{suffix}"
 
     # straight product of the per-part choices; constants multiply to <= 8
-    d1, t1, c1 = _choose_squarefree(s1)
-    d2, t2, c2 = _choose_square(s2)
-    d3, t3, c3 = _choose_cube(s3)
-    if c1 * c2 * c3 > 8:
+    d1, t1, (num1, den1) = _choose_squarefree(s1)
+    d2, t2, (num2, den2) = _choose_square(s2)
+    d3, t3, (num3, den3) = _choose_cube(s3)
+    num, den = num1 * num2 * num3, den1 * den2 * den3
+    if num > 8 * den:
         raise CertificationError(
-            f"unreachable branch: constant product {c1 * c2 * c3} > 8"
+            f"unreachable branch: constant product {Fraction(num, den)} > 8"
         )
     if w2 == 0 and w3 == 0:
         label = "empty" if w1 == 0 else (

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint
 
 from divbound.arith import (
     Factorization,
@@ -28,6 +31,10 @@ from oracles import (
     oracle_phi,
     oracle_tau,
 )
+
+
+def _sympy_factors(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(factorint(n).items()))
 
 
 class TestFactorize:
@@ -58,6 +65,58 @@ class TestFactorize:
 
     def test_deterministic(self):
         assert factorize(2310) == factorize(2310)
+
+    def test_boundary_primes_powers_and_products(self):
+        # primes on each side of the 2^10 trial limit, of the 2^20 cached
+        # primes and of 2^32; powers of those above 2^32 would need trial
+        # division to 2^32 once past 2^64, so they stop at the square
+        small = (1019, 1021, 1031, 1033, 1048571, 1048573, 1048583, 1048589)
+        large = (4294967279, 4294967291)
+        cases = [p**k for p in small for k in range(1, 9)]
+        cases += [p * p for p in large] + list(large)
+        group = small[:4], small[4:], large
+        cases += [p * q for g in group for p, q in zip(g, g[1:])]
+        cases += [1031 * 4294967291, 1021 * 1048583 * 4294967279]
+        for n in cases:
+            assert factorize(n).factors == _sympy_factors(n), n
+
+    def test_carmichael_numbers(self):
+        # the last three are (6k+1)(12k+1)(18k+1) with every factor above 2^10
+        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911,
+                  9624742921, 11346205609, 6927441457804351849):
+            assert pow(2, n - 1, n) == 1 and not is_prime(n)
+            assert factorize(n).factors == _sympy_factors(n), n
+
+    def test_primes_near_2_63_and_2_64(self):
+        for p in (2**63 - 25, 2**64 - 59):
+            assert factorize(p).factors == ((p, 1),)
+
+    def test_beyond_2_64_with_cofactor_below_2_64(self):
+        # the cofactor drops below 2^64 after primes up to 2^10, after a
+        # prime just above 2^10 (trial division past the limit), or only
+        # once 3^50 is gone, leaving a product of two primes near 2^32
+        for n in (2**30 * 1048583 * 1048589,
+                  1031**7 * 1048583 * 1048589,
+                  3**50 * 4294967279 * 4294967291):
+            assert n >= 1 << 64
+            assert factorize(n).factors == _sympy_factors(n), n
+
+    def test_beyond_2_64_with_only_small_factors(self):
+        for n in (2**64, 2**100, 3**41 * 5**3 * 1021, factorial(30),
+                  1031**7, 1048573**4, 2**40 * 1048573**3):
+            assert n >= 1 << 64
+            assert factorize(n).factors == _sympy_factors(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=2**64 - 1),
+            # products of a few factors in the range Brent's rho splits
+            st.lists(st.integers(2, 1 << 22), min_size=1, max_size=3).map(prod),
+        )
+    )
+    def test_matches_sympy_below_2_64(self, n):
+        assert factorize(n).factors == _sympy_factors(n)
 
     def test_all_reported_primes_pass_primality(self):
         rng = random.Random(7)
@@ -183,7 +242,10 @@ class TestSieveSegment:
             assert p == oracle_factor(n)[0][0]
 
     def test_consistency_with_factorize(self):
-        for lo, hi in [(1, 3000), (10**6 - 500, 10**6 + 500), (999983, 10**6)]:
+        # at 10^12 the cofactor left after the smallest prime falls below the
+        # table and is factored in one call
+        for lo, hi in [(1, 3000), (10**6 - 500, 10**6 + 500), (999983, 10**6),
+                       (10**12, 10**12 + 2000)]:
             seg = spf_sieve_segment(lo, hi)
             for n in range(max(lo, 2), hi + 1):
                 assert seg.factor(n) == list(factorize(n).factors)

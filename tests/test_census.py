@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -429,19 +430,64 @@ class TestCheckpointing:
 
     def test_record_bytes_are_stable(self, tmp_path):
         # existing checkpoints must keep resuming: records are sorted-key JSON
-        # and carry equality_ns only when the run collects equalities
+        # and carry equality_ns only when the run collects equalities. A
+        # version-2 record adds "digest", the sha256 of exactly the bytes a
+        # version-1 record holds.
         cfg = CensusConfig(n_max=2000, segment_size=400)
         plain, listed = tmp_path / "plain.ckpt", tmp_path / "listed.ckpt"
         verify_range(cfg, checkpoint=str(plain))
         verify_range(cfg, checkpoint=str(listed), collect_equalities=True)
-        assert plain.read_bytes().split(b"\n")[2] == (
-            b'{"argmax_n": 455, "equalities": 2, "hi": 800, "lo": 401, '
-            b'"max_den": 1, "max_num": 8, "violations": 0}'
-        )
-        assert listed.read_bytes().split(b"\n")[2] == (
-            b'{"argmax_n": 455, "equalities": 2, "equality_ns": [455, 595], '
-            b'"hi": 800, "lo": 401, "max_den": 1, "max_num": 8, "violations": 0}'
-        )
+        for path, v1_record in (
+            (plain, b'{"argmax_n": 455, "equalities": 2, "hi": 800, "lo": 401, '
+                    b'"max_den": 1, "max_num": 8, "violations": 0}'),
+            (listed, b'{"argmax_n": 455, "equalities": 2, "equality_ns": [455, 595], '
+                     b'"hi": 800, "lo": 401, "max_den": 1, "max_num": 8, '
+                     b'"violations": 0}'),
+        ):
+            digest = hashlib.sha256(v1_record).hexdigest().encode()
+            assert path.read_bytes().split(b"\n")[2] == (
+                b'{"argmax_n": 455, "digest": "' + digest + b'", '
+                + v1_record[len(b'{"argmax_n": 455, '):]
+            )
+
+    def test_changed_digit_raises(self, tmp_path):
+        """Every digit of a version-2 checkpoint, header included, is
+        replaced by another digit; each such file must raise
+        CheckpointError instead of resuming into a different report. At
+        version 1, raising "equalities": 2 to 3 resumed to 10 equalities
+        instead of 9."""
+        cfg = CensusConfig(n_max=2000, segment_size=400)
+        path = tmp_path / "scan.ckpt"
+        verify_range(cfg, checkpoint=str(path))
+        data = path.read_bytes()
+        digits = [i for i, b in enumerate(data) if chr(b).isdigit()]
+        assert len(digits) > 300
+        for i in digits:
+            changed = str((int(chr(data[i])) + 1) % 10).encode()
+            path.write_bytes(data[:i] + changed + data[i + 1 :])
+            with pytest.raises(CheckpointError):
+                verify_range(cfg, checkpoint=str(path))
+
+    def test_version_1_file_resumes_and_stays_version_1(self, tmp_path):
+        cfg = CensusConfig(n_max=2000, segment_size=400)
+        path = tmp_path / "scan.ckpt"
+        verify_range(cfg, checkpoint=str(path))
+        header, *records = path.read_text().splitlines()
+        header = json.loads(header)
+        header["version"] = 1
+        v1 = [json.dumps(header, sort_keys=True)]
+        for line in records[:3]:
+            rec = json.loads(line)
+            del rec["digest"]
+            v1.append(json.dumps(rec, sort_keys=True))
+        path.write_text("\n".join(v1) + "\n")
+        expected = verify_range(cfg).to_json()
+        assert verify_range(cfg, checkpoint=str(path)).to_json() == expected
+        lines = path.read_text().splitlines()
+        assert lines[:4] == v1
+        assert len(lines) == 6
+        assert all("digest" not in json.loads(line) for line in lines[1:])
+        assert verify_range(cfg, checkpoint=str(path)).to_json() == expected
 
     def test_blank_line_then_truncated_record_resumes_twice(self, tmp_path):
         cfg = CensusConfig(n_max=2000, segment_size=400)

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import nextprime
 
 from divbound.arith import Factorization, factorize, sieve_primes, tau
 from divbound.witness import (
@@ -21,6 +25,35 @@ from divbound.witness import (
 from oracles import oracle_tau
 
 PRIMES = sieve_primes(10**4)
+
+# small primes, where d^4 <= n binds, and primes just above 2^k up to 2^128,
+# where n leaves the range any census or factorization can reach
+PRIME_POOL = PRIMES[:100] + [
+    nextprime(2**k) for k in (10, 20, 32, 40, 63, 64, 80, 100, 128)
+]
+SHAPES = st.lists(
+    st.tuples(st.sampled_from(PRIME_POOL), st.integers(1, 9)),
+    max_size=14,
+    unique_by=lambda f: f[0],
+).map(sorted)
+
+
+def shape_factorization(shape: list[tuple[int, int]]) -> Factorization:
+    return Factorization(prod(p**a for p, a in shape), tuple(shape))
+
+
+def tau_over(primes, d: int) -> int:
+    """tau(d) from d's multiplicity at each of the given primes; d must
+    have no other prime factor. Independent of divbound's tau."""
+    t = 1
+    for p in primes:
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        t *= e + 1
+    assert d == 1
+    return t
 
 
 def random_part(rng, exponent_choice, count) -> Factorization:
@@ -305,6 +338,40 @@ class TestCaseTreeExhaustive:
             cert = construct_witness(n)
             if cert.d == 1:
                 assert cert.tau_n <= 8
+
+
+class TestWitnessByShape:
+    """construct_witness on random exponent shapes over random primes, far
+    beyond 2^64 included; the Factorization is passed in, so nothing is
+    factored."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHAPES)
+    @example([(2, 2), (3, 3), (nextprime(2**100), 5), (nextprime(2**128), 1)])
+    def test_every_shape_is_certified(self, shape):
+        f = shape_factorization(shape)
+        cert = construct_witness(f.n, f)
+        assert cert.n == f.n
+        assert f.n % cert.d == 0 and cert.d**4 <= f.n
+        assert cert.tau_n == prod(a + 1 for _, a in shape)
+        assert cert.tau_d == tau_over(f.primes, cert.d)
+        assert cert.tau_n <= 8 * cert.tau_d**7
+
+    @settings(max_examples=100, deadline=None)
+    @given(SHAPES)
+    def test_public_part_choices_return_fractions(self, shape):
+        sp = split_by_exponent(shape_factorization(shape))
+        for choose, part, power in (
+            (witness_squarefree, sp.squarefree_part, 7),
+            (witness_square_part, sp.square_part, 7),
+            (witness_cube_part, sp.cube_part, 7),
+            (witness_high_exponent, sp.high_part, 4),
+        ):
+            d, c = choose(part)
+            assert type(c) is Fraction
+            assert part.n % d == 0 and d**4 <= part.n
+            tau_part = prod(a + 1 for a in part.exponents)
+            assert tau_part <= c * tau_over(part.primes, d) ** power
 
 
 class TestObstruction:
