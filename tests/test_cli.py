@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -198,6 +199,39 @@ class TestGaussianCommand:
             "--gamma-file", str(path),
         )
         assert code == 2
+
+    def test_pinned_csv_digest(self, capsys):
+        # the benchmark's smoke table, byte for byte as the dict walk wrote it
+        code, out, _ = run_cli(capsys, "gaussian", "--x", "200000", "--d-max", "50")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ad7aa98149e00525e69ebd98b333fcb7e4272ac2bbe1a4700e612ffdf7a7d2db"
+        )
+
+    def test_pinned_table_mode_digest(self, capsys, tmp_path):
+        path = tmp_path / "gamma.txt"
+        path.write_text(
+            "# signed rationals\n1 1\n2 -1/2\n3 1/3\n5 -3/4\n7 2/7\n"
+            "11 -1/6\n12 5/9\n400 0.125\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "gaussian", "--x", "200000", "--d-max", "50",
+            "--gamma-file", str(path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7adb87add7ff9566f681899886da21357de1b583d3fe0c21082a60bac7c80441"
+        )
+
+    def test_duplicate_gamma_line_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "gamma.txt"
+        path.write_text("4 -1/2\n4 1/3\n")
+        code, out, err = run_cli(
+            capsys, "gaussian", "--x", "100", "--d-max", "5", "--r", "2",
+            "--gamma-file", str(path),
+        )
+        assert code == 2 and out == ""
+        assert "duplicate" in err and "line 1" in err
 
     def test_cost_ceiling_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divbound import gaussian
+from divbound.arith import euler_phi, factorize
 from divbound.gaussian import (
     CostCeilingError,
     GammaSpec,
@@ -82,6 +86,13 @@ class TestGammaSpec:
         path.write_text("1 1.5\n")
         with pytest.raises(ValueError):
             GammaSpec.from_file(str(path), r=1)
+
+    def test_from_file_rejects_duplicate_support(self, tmp_path):
+        path = tmp_path / "gamma.txt"
+        path.write_text("# twice at 4\n4 -1/2\n1 1\n4 1/3\n")
+        with pytest.raises(ValueError) as err:
+            GammaSpec.from_file(str(path), r=2)
+        assert ":4:" in str(err.value) and "line 2" in str(err.value)
 
     def test_from_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "gamma.txt"
@@ -213,6 +224,32 @@ class TestMainTerm:
         got = main_term_M(100, 5, GammaSpec(r=1))
         assert got == pytest.approx(M5_AT_100, rel=1e-12)
 
+    def test_totient_table_matches_factorize(self):
+        phis = gaussian._totients(5000)
+        assert phis[0] == 0
+        for l in range(1, 5001):
+            assert phis[l] == euler_phi(factorize(l)), l
+
+    def test_bit_identical_to_factorized_totients(self):
+        # the term and its summation order are those of the per-l
+        # euler_phi(factorize(l)) loop, so every M_d comes out bit for bit
+        rng = random.Random(9)
+        table = {l: Fraction(rng.randrange(-7, 8), 7) for l in range(1, 60)}
+        for gamma in (GammaSpec(r=1), GammaSpec(r=1, mode="table", table=table)):
+            for x in (2, 100, 2500, 3601):
+                for d in range(1, 40):
+                    count, _ = rho(d)
+                    total = 0.0
+                    l = 1
+                    while l * l < x:
+                        cl = gamma.coefficient(l)
+                        if gcd(l, d) == 1 and cl:
+                            phi = euler_phi(factorize(l))
+                            total += float(cl) * (phi / l) * sqrt(x - l * l)
+                        l += 1
+                    expected = count / d * total if count else 0.0
+                    assert main_term_M(x, d, gamma).hex() == expected.hex()
+
     def test_rho_scaling_relation(self):
         # same coprime-filtered sum, scaled by rho(d)/d
         g = GammaSpec(r=1)
@@ -257,3 +294,84 @@ class TestDiscrepancyTable:
         with pytest.raises(CostCeilingError) as err:
             discrepancy_table(10**6, 10**5, GammaSpec(r=1))
         assert "10" in str(err.value)  # refusal quotes the estimated cost
+
+
+def oracle_rows(x: int, d_max: int, gamma: GammaSpec) -> list[tuple]:
+    """Table rows from the dict sequence and the per-d congruence walk."""
+    seq = sequence_a(x, gamma)
+    rows = []
+    for d in range(1, d_max + 1):
+        a = congruence_sum_A(x, d, gamma, seq=seq)
+        if isinstance(a, Fraction) and a.denominator == 1:
+            a = int(a)
+        m = main_term_M(x, d, gamma)
+        rows.append((d, a, rho(d)[0], m, abs(float(a) - m)))
+    return rows
+
+
+@st.composite
+def gammas(draw):
+    r = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["all_ones", "table", "tiny"]))
+    if kind == "all_ones":
+        return GammaSpec(r=r)
+    roots = draw(st.lists(st.integers(1, 60 if r == 1 else 8), max_size=12))
+    table = {}
+    for k in roots:
+        den = draw(st.integers(1, 12))
+        table[k**r] = Fraction(draw(st.integers(-den, den)), den)
+    if kind == "tiny":
+        # L * x beyond int64 forces the Python-int blocks
+        table[draw(st.sampled_from(roots or [1])) ** r] = Fraction(1, 10**30)
+    return GammaSpec(r=r, mode="table", table=table)
+
+
+class TestBlockedTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=st.integers(1, 3000),
+        d_max=st.integers(1, 40),
+        block=st.integers(8, 128),
+        gamma=gammas(),
+    )
+    def test_matches_dict_oracle(self, x, d_max, block, gamma):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaussian, "_BLOCK", block)
+            table = discrepancy_table(x, d_max, gamma)
+        expected = oracle_rows(x, d_max, gamma)
+        assert len(table.rows) == len(expected)
+        for row, (d, a, count, m, err) in zip(table.rows, expected):
+            assert row.d == d
+            assert row.A == a and type(row.A) is type(a), (d, row.A, a)
+            assert row.rho == count
+            assert row.M.hex() == m.hex()
+            assert row.abs_err.hex() == err.hex()
+        total = 0.0
+        for *_, err in expected:
+            total += err
+        assert table.total_err.hex() == total.hex()
+
+    def test_every_small_block_size(self):
+        # each block start lo = l^2 + t for small t, once per block size
+        g = GammaSpec(r=1)
+        expected = oracle_rows(700, 30, g)
+        for block in range(1, 65):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gaussian, "_BLOCK", block)
+                table = discrepancy_table(700, 30, g)
+            assert [row.A for row in table.rows] == [e[1] for e in expected], block
+
+    def test_tiny_coefficient_stays_exact(self):
+        # L = 3 * 10^30: int64 blocks would overflow, object blocks do not
+        g = GammaSpec(r=1, mode="table", table={1: Fraction(1, 10**30), 2: Fraction(-1, 3)})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaussian, "_BLOCK", 64)
+            table = discrepancy_table(1000, 12, g)
+        seq = sequence_a(1000, g)
+        for row in table.rows:
+            assert row.A == congruence_sum_A(1000, row.d, g, seq=seq)
+        assert isinstance(table.rows[0].A, Fraction)
+
+    def test_memory_ceiling_kept(self):
+        with pytest.raises(ValueError, match="memory ceiling"):
+            discrepancy_table(gaussian.DEFAULT_MAX_X + 1, 1, GammaSpec(r=1))
