@@ -2,13 +2,15 @@
 
 Scans n in [1, n_max] and compares tau(n) against C * S(n), where S(n)
 sums a divisor weight over the divisors d | n with d^k <= n. The scan is
-segmented: tau comes from a strided sieve over prime powers p^j <= hi,
-which updates tau in place on the basic slice of multiples of each p^j,
-and S from harvesting multiples of each small d, so no n is factorized on
-its own. Weight sums that overflow int64 are held as Python ints and
-compared in windows of _WIDE_CHUNK n by the same code. Counters merge
-order-independently, which makes reports identical for any worker count
-or segment size.
+segmented, and each segment is compared in windows: _WINDOW n at a time
+for int64 and float64 weight sums, _WIDE_CHUNK n at a time for sums that
+overflow int64 and are held as Python ints. In a window tau comes from a
+strided sieve over prime powers p^j <= hi, which updates tau in place on
+the basic slice of multiples of each p^j, and S from harvesting multiples
+of each small d, so no n is factorized on its own. The exact maximum
+ratio is taken over the distinct (tau, S) pairs of the candidates, not
+over every candidate. Counters merge order-independently, which makes
+reports identical for any worker count, segment size or window size.
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ _INT64_SAFE = 1 << 62
 # 38.6 MB RSS with 2^12, 40.8 MB with 2^14 and 48.7 MB with 2^16, against
 # 38.3 MB for the per-n factorizing scan that this replaced.
 _WIDE_CHUNK = 1 << 12
+
+# Segments with int64 or float64 weights are compared this many n at a
+# time, which bounds the numpy temporaries of a segment: tracemalloc peaks
+# at 44 MB for a 2^22 segment at the top of [1, 10^8], 176 MB without
+# windows. With two threads scanning such segments side by side, windows
+# of 2^19, 2^20 and 2^21 took 194-240 ms per segment, too close to rank,
+# and 2^18 and whole 2^22 segments 217-274 ms (two runs each, 2-core
+# Xeon); 2^20 is the middle of the flat range.
+_WINDOW = 1 << 20
 
 
 class CheckpointError(RuntimeError):
@@ -286,7 +297,8 @@ def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
             prod[s::q] *= p
             q *= p
             j += 1
-    tau[prod != np.arange(lo, hi + 1, dtype=np.int64)] *= 2
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    np.multiply(tau, 2, out=tau, where=prod != n)
     return tau, sqfree
 
 
@@ -350,7 +362,7 @@ def _scan_segment(
 ) -> _SegmentResult:
     if w.dtype == object:
         return _scan_segment_python(lo, hi, cfg, w, primes, collect)
-    return _compare_window(lo, hi, cfg, w, primes, collect)
+    return _scan_windows(lo, hi, cfg, w, primes, collect, _WINDOW)
 
 
 def _scan_segment_python(
@@ -358,11 +370,45 @@ def _scan_segment_python(
 ) -> _SegmentResult:
     """A segment whose weights overflow int64, compared _WIDE_CHUNK n at a
     time so that its object arrays stay small."""
-    windows = [
-        _compare_window(a, min(a + _WIDE_CHUNK - 1, hi), cfg, w, primes, collect)
-        for a in range(lo, hi + 1, _WIDE_CHUNK)
+    return _scan_windows(lo, hi, cfg, w, primes, collect, _WIDE_CHUNK)
+
+
+def _scan_windows(
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray,
+    collect: bool, window: int,
+) -> _SegmentResult:
+    """[lo, hi] compared window n at a time, merged into one result."""
+    results = [
+        _compare_window(a, min(a + window - 1, hi), cfg, w, primes, collect)
+        for a in range(lo, hi + 1, window)
     ]
-    return _merge(lo, hi, windows, collect)
+    return _merge(lo, hi, results, collect)
+
+
+def _exact_argmax(
+    tau: np.ndarray, S: np.ndarray, cand: np.ndarray, lo: int
+) -> tuple[int, int, int]:
+    """(tau, S, n) of the largest exact ratio tau / S among the ascending
+    indices cand, the n of index i being lo + i; ties go to the smallest n.
+
+    On numeric arrays only the distinct (tau, S) pairs are compared, each
+    at its first index: a pair's later copies would lose the tie. At the
+    top of [1, 10^8] nearly every candidate is an equality case with the
+    pair (8, 1), so this replaces a Python loop over thousands of
+    candidates per window by one over a handful.
+    """
+    if S.dtype == object:
+        nums, dens, firsts = tau[cand], S[cand], cand
+    else:
+        pairs, at = np.unique(
+            np.stack((tau[cand], S[cand]), axis=1), axis=0, return_index=True
+        )
+        nums, dens, firsts = pairs[:, 0], pairs[:, 1], cand[at]
+    best = (0, 1, -1)
+    for num, den, i in zip(nums.tolist(), dens.tolist(), firsts.tolist()):
+        if _ratio_greater(num, den, lo + i, *best):
+            best = (num, den, lo + i)
+    return best
 
 
 def _compare_window(
@@ -392,7 +438,7 @@ def _compare_window(
 
     violations = int(np.count_nonzero(viol_mask))
     equalities = int(np.count_nonzero(eq_mask))
-    equality_ns = [int(i) + lo for i in np.nonzero(eq_mask)[0]] if collect else None
+    equality_ns = (np.flatnonzero(eq_mask) + lo).tolist() if collect else None
 
     ratio = (tau / S).astype(np.float64, copy=False)
     if cfg.squarefree_only:
@@ -405,10 +451,8 @@ def _compare_window(
         pass
     elif cfg.exact:
         # float ratios only pick candidates; the exact compare decides
-        for i in np.nonzero(ratio >= peak * (1.0 - 1e-12))[0]:
-            num, den, n = int(tau[i]), int(S[i]), lo + int(i)
-            if _ratio_greater(num, den, n, best_num, best_den, best_n):
-                best_num, best_den, best_n = num, den, n
+        cand = np.flatnonzero(ratio >= peak * (1.0 - 1e-12))
+        best_num, best_den, best_n = _exact_argmax(tau, S, cand, lo)
     else:
         i = int(np.argmax(ratio))  # argmax returns the first (smallest n) peak
         best_num, best_n = float(ratio[i]), lo + i

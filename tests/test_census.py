@@ -333,6 +333,55 @@ class TestVerifyRange:
         assert wide.argmax_n == best[2]
 
 
+class TestWindows:
+    @pytest.mark.parametrize("squarefree_only", [False, True])
+    def test_windows_of_one_segment_match_small_segments(self, squarefree_only):
+        # one 2^22 segment over ~3.3 windows against 2^16 segments of one
+        # window each: the window merge must give the same report
+        n_max = 33 * census._WINDOW // 10
+        assert census._WINDOW < n_max < 1 << 22
+        kw = dict(n_max=n_max, squarefree_only=squarefree_only)
+        one = verify_range(CensusConfig(**kw, segment_size=1 << 22),
+                           collect_equalities=True)
+        many = verify_range(CensusConfig(**kw, segment_size=1 << 16),
+                            collect_equalities=True)
+        assert (one.segments_processed, many.segments_processed) == (1, 53)
+        for field in ("violations", "equalities", "max_ratio", "argmax_n",
+                      "equality_ns"):
+            assert getattr(one, field) == getattr(many, field), field
+        assert one.equalities == len(one.equality_ns) > 0
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from([(8, 1), (7, 1), (1, 1), (3, 2), (15, 2)]),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        lo=st.integers(1, 10**12),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unique_pair_argmax_matches_candidate_loop(self, pairs, lo, data):
+        # scaled pairs such as 8/1 and 16/2 tie in ratio but not as pairs;
+        # the smallest n among all tied candidates must win either way
+        tau_ = [a * m for (a, _), m in pairs]
+        S = [b * m for (_, b), m in pairs]
+        cand = sorted(data.draw(st.sets(st.integers(0, len(pairs) - 1), min_size=1)))
+        best = (0, 1, -1)
+        for i in cand:
+            if census._ratio_greater(tau_[i], S[i], lo + i, *best):
+                best = (tau_[i], S[i], lo + i)
+        idx = np.array(cand, dtype=np.int64)
+        for dtype in (np.int64, object):
+            got = census._exact_argmax(
+                np.array(tau_, dtype=dtype), np.array(S, dtype=dtype), idx, lo
+            )
+            assert got == best
+
+
 class TestWitnessTermInsideSum:
     def test_witness_term_is_a_summand(self):
         # the certified divisor has d^4 <= n, so tau(d)^7 is one of the
