@@ -149,14 +149,9 @@ def next_prime_in(lo_exclusive: int, hi_exclusive: int) -> int | None:
 
 def next_prime_after(x: int) -> int:
     """Smallest prime strictly greater than x."""
-    c = max(x + 1, 2)
-    if c == 2:
-        return 2
-    if c % 2 == 0:
-        c += 1
-    while not is_prime(c):
-        c += 2
-    return c
+    m = max(x, 1)
+    # Bertrand's postulate: (m, 2m + 2) always holds a prime
+    return next_prime_in(m, 2 * m + 2)
 
 
 @dataclass(frozen=True)
@@ -259,22 +254,19 @@ def _brent(n: int) -> int:
             return g
 
 
-def factorize(n: int, segment: "SieveSegment | None" = None) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Canonical Factorization of n >= 1.
 
-    Uses the segment's smallest-prime-factor table when n falls inside it.
-    Otherwise it trial-divides by the primes up to 2^10; a cofactor below
-    2^64 that is still composite is split by Brent's rho with fixed
-    constants, every part tested by the deterministic is_prime. A cofactor
-    at or above 2^64 goes on by trial division, because is_prime is only
-    exact below 2^64. The result is deterministic either way.
+    Trial-divides by the primes up to 2^10; a cofactor below 2^64 that is
+    still composite is split by Brent's rho with fixed constants, every
+    part tested by the deterministic is_prime. A cofactor at or above 2^64
+    goes on by trial division, because is_prime is only exact below 2^64.
+    The result is deterministic either way.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; argument must be >= 1")
     if n == 1:
         return Factorization(1, ())
-    if segment is not None and segment.lo <= n <= segment.hi:
-        return Factorization(n, tuple(segment.factor(n)))
     return Factorization(n, tuple(_factor_int(n)))
 
 
@@ -390,9 +382,6 @@ class SieveSegment:
         factors.sort()
         return factors
 
-    def factorization(self, n: int) -> Factorization:
-        return Factorization(n, tuple(self.factor(n)))
-
 
 def spf_sieve_segment(
     lo: int, hi: int, max_size: int = DEFAULT_SEGMENT_SIZE
@@ -410,14 +399,11 @@ def spf_sieve_segment(
     if root > 1 << 26:
         raise ValueError("segment sieve supports hi <= 2^52")
     spf = np.zeros(length, dtype=np.int64)
-    for p in _prime_sieve(root):
-        p = int(p)
+    # descending, so the smallest prime factor is the last one written
+    for p in reversed(_prime_sieve(root).tolist()):
         start = max(((lo + p - 1) // p) * p, p * p)
-        if start > hi:
-            continue
-        idx = np.arange(start - lo, length, p)
-        unmarked = idx[spf[idx] == 0]
-        spf[unmarked] = p
+        if start <= hi:
+            spf[start - lo :: p] = p
     rest = np.nonzero(spf == 0)[0]
     spf[rest] = rest + lo  # primes in range are their own least factor
     if lo == 1:

@@ -44,6 +44,7 @@ __all__ = [
     "ScanInterrupted",
     "classify_equality_shape",
     "divisor_weight_sum",
+    "ratio_payload",
     "verify_range",
     "equality_census",
     "best_constant_curve",
@@ -157,6 +158,13 @@ class EqualityCase:
     matches_three_prime_form: bool
 
 
+def ratio_payload(ratio: Fraction | float) -> dict:
+    """JSON form of a max ratio: num, den and float when exact, else float."""
+    if isinstance(ratio, Fraction):
+        return {"num": ratio.numerator, "den": ratio.denominator, "float": float(ratio)}
+    return {"float": ratio}
+
+
 @dataclass
 class CensusReport:
     config: CensusConfig
@@ -171,21 +179,13 @@ class CensusReport:
     def payload(self) -> dict:
         """Deterministic JSON-ready dict; elapsed time is deliberately
         excluded so identical scans serialize identically."""
-        if isinstance(self.max_ratio, Fraction):
-            ratio = {
-                "num": self.max_ratio.numerator,
-                "den": self.max_ratio.denominator,
-                "float": float(self.max_ratio),
-            }
-        else:
-            ratio = {"float": self.max_ratio}
         out = {
             "config": self.config.echo(),
             "range_inclusive": [1, self.config.n_max],
             "arithmetic": "exact" if self.config.exact else "float64",
             "violations": self.violations,
             "equalities": self.equalities,
-            "max_ratio": ratio,
+            "max_ratio": ratio_payload(self.max_ratio),
             "argmax_n": self.argmax_n,
             "segments_processed": self.segments_processed,
         }
@@ -228,25 +228,24 @@ def divisor_weight_sum(n: int, cfg: CensusConfig) -> int | float:
     return sum(_weight(d, cfg) for d in small)  # d = 1 makes a float sum float
 
 
-def _weight_table(cfg: CensusConfig) -> tuple[np.ndarray, bool]:
+def _weight_table(cfg: CensusConfig) -> np.ndarray:
     """Per-d weights for d up to floor(n_max^(1/k)).
 
-    Returns (table, int64_ok); int64_ok is False when the worst-case sums
-    would not fit 64-bit, in which case the table holds Python ints
-    (object dtype) and the scan compares in windows of _WIDE_CHUNK n.
+    When the worst-case sums would not fit 64-bit the table holds Python
+    ints (object dtype), and the scan compares in windows of _WIDE_CHUNK n.
     """
     d_max = integer_kth_root(cfg.n_max, cfg.k)
     weights = [0] + [_weight(d, cfg) for d in range(1, d_max + 1)]
     if not cfg.exact:
-        return np.array(weights, dtype=np.float64), True
+        return np.array(weights, dtype=np.float64)
     total = sum(weights)
     bound = max(
         cfg.constant.numerator * total,
         cfg.constant.denominator * 2 * isqrt(cfg.n_max) + 1,
     )
     if bound < _INT64_SAFE and max(weights) < _INT64_SAFE:
-        return np.array(weights, dtype=np.int64), True
-    return np.array(weights, dtype=object), False
+        return np.array(weights, dtype=np.int64)
+    return np.array(weights, dtype=object)
 
 
 # ----------------------------------------------------------------------
@@ -604,7 +603,7 @@ def verify_range(
     Raises ScanInterrupted after checkpointing when stop_event is set.
     """
     t0 = time.monotonic()
-    w, _ = _weight_table(cfg)
+    w = _weight_table(cfg)
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
     segments = _segments(cfg)
 

@@ -24,6 +24,7 @@ from .census import (
     ScanInterrupted,
     best_constant_curve,
     classify_equality_shape,
+    ratio_payload,
     verify_range,
 )
 from .gaussian import CostCeilingError, GammaSpec, discrepancy_table, rho
@@ -224,19 +225,12 @@ def _cmd_census_curve(args) -> int:
         segment_size=args.segment_size or DEFAULT_SEGMENT_SIZE,
         workers=args.threads or os.cpu_count() or 1,
     )
-    rows = []
-    for eta, ratio, argmax_n in curve:
-        row = {"eta": str(eta) if isinstance(eta, Fraction) else eta,
-               "argmax_n": argmax_n}
-        if isinstance(ratio, Fraction):
-            row["max_ratio"] = {
-                "num": ratio.numerator,
-                "den": ratio.denominator,
-                "float": float(ratio),
-            }
-        else:
-            row["max_ratio"] = {"float": ratio}
-        rows.append(row)
+    rows = [
+        {"eta": str(eta) if isinstance(eta, Fraction) else eta,
+         "argmax_n": argmax_n,
+         "max_ratio": ratio_payload(ratio)}
+        for eta, ratio, argmax_n in curve
+    ]
     _emit(rows)
     return EXIT_OK
 

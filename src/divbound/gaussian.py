@@ -8,13 +8,15 @@ powers and never exceed 1 in magnitude. A_d(x) sums a_n over multiples of
 d, and M_d(x) is its expected size given that solutions of v^2 = -1 spread
 evenly over the rho(d) residue classes.
 
-discrepancy_table never materializes a_n as a map. It walks n <= x in
-dense numpy blocks of _BLOCK consecutive values: for each l with
-gamma_l != 0 it takes the m >= 1 with l^2 + m^2 inside the block, keeps
-those coprime to l and adds gamma_l at l^2 + m^2 (no index repeats for
-one l, so a fancy-indexed add is exact). Each block adds its slice of
+Every loop over l walks one list, _support(x, gamma): the (l, gamma_l)
+with l^2 < x and gamma_l != 0, ascending. discrepancy_table reads it once
+and never materializes a_n: it walks n <= x in dense numpy blocks of
+_BLOCK values, where each support point l adds gamma_l at l^2 + m^2 for
+the m >= 1 coprime to l that land in the block (no index repeats for one
+l, so a fancy-indexed add is exact). Each block adds its slice of
 multiples of d to A_d and is dropped, so memory depends on the block size
-and not on x.
+and not on x. The M_d summands are built once per table and added per d
+in main_term_M's order, so both give the same bits.
 
 The sums stay exact integers: every coefficient is scaled by L, the least
 common multiple of their denominators, and A_d is returned as
@@ -138,6 +140,13 @@ def _check_x(x: int, max_x: int) -> None:
         raise ValueError(f"x = {x} exceeds the memory ceiling {max_x}")
 
 
+def _support(x: int, gamma: GammaSpec) -> list[tuple[int, int | Fraction]]:
+    """The (l, gamma_l) with l^2 < x and gamma_l != 0, l ascending."""
+    if gamma.mode == "table":
+        return sorted((l, c) for l, c in gamma.table.items() if c and l * l < x)
+    return [(j**gamma.r, 1) for j in range(1, integer_kth_root(x - 1, 2 * gamma.r) + 1)]
+
+
 def sequence_a(
     x: int, gamma: GammaSpec, max_x: int = DEFAULT_MAX_X
 ) -> dict[int, int | Fraction]:
@@ -145,16 +154,12 @@ def sequence_a(
     (l, m) with l^2 + m^2 <= x and adding gamma_l at l^2 + m^2. Exact."""
     _check_x(x, max_x)
     a: dict[int, int | Fraction] = {}
-    l = 1
-    while l * l < x:
-        cl = gamma.coefficient(l)
-        if cl:
-            ll = l * l
-            for m in range(1, isqrt(x - ll) + 1):
-                if gcd(l, m) == 1:
-                    n = ll + m * m
-                    a[n] = a.get(n, 0) + cl
-        l += 1
+    for l, cl in _support(x, gamma):
+        ll = l * l
+        for m in range(1, isqrt(x - ll) + 1):
+            if gcd(l, m) == 1:
+                n = ll + m * m
+                a[n] = a.get(n, 0) + cl
     return a
 
 
@@ -247,22 +252,17 @@ def congruence_sum_A_via_residues(
     if count == 0:
         return 0
     total: int | Fraction = 0
-    l = 1
-    while l * l < x:
+    for l, cl in _support(x, gamma):
         if gcd(l, d) == 1:
-            cl = gamma.coefficient(l)
-            if cl:
-                ll = l * l
-                m_max = isqrt(x - ll)
-                for v in roots:
-                    m = (v * l) % d
-                    if m == 0:
-                        m = d
-                    while m <= m_max:
-                        if gcd(l, m) == 1:
-                            total += cl
-                        m += d
-        l += 1
+            m_max = isqrt(x - l * l)
+            for v in roots:
+                m = (v * l) % d
+                if m == 0:
+                    m = d
+                while m <= m_max:
+                    if gcd(l, m) == 1:
+                        total += cl
+                    m += d
     return total
 
 
@@ -281,25 +281,30 @@ def _totients(limit: int) -> list[int]:
     return _phi_table
 
 
+def _main_terms(x: int, support: list) -> list[tuple[int, float]]:
+    """(l, gamma_l * (phi(l)/l) * sqrt(x - l^2)) over the support list."""
+    phis = _totients(isqrt(x))
+    return [(l, float(c) * (phis[l] / l) * sqrt(x - l * l)) for l, c in support]
+
+
+def _scaled_main_sum(terms: list[tuple[int, float]], d: int, count: int) -> float:
+    """(count/d) times the terms with gcd(l, d) = 1, added in ascending l
+    by plain += (the builtin sum compensates from Python 3.12)."""
+    if count == 0:
+        return 0.0
+    total = 0.0
+    for l, term in terms:
+        if gcd(l, d) == 1:
+            total += term
+    return count / d * total
+
+
 def main_term_M(x: int, d: int, gamma: GammaSpec) -> float:
     """M_d(x) = (rho(d)/d) * sum over l < sqrt(x), gcd(l, d) = 1 of
     gamma_l * (phi(l)/l) * sqrt(x - l^2), in double precision."""
     if x < 1 or d < 1:
         raise ValueError("x and d must be >= 1")
-    count, _ = rho(d)
-    if count == 0:
-        return 0.0
-    phis = _totients(isqrt(x))
-    total = 0.0
-    l = 1
-    while l * l < x:
-        if gcd(l, d) == 1:
-            cl = gamma.coefficient(l)
-            if cl:
-                phi = phis[l]
-                total += float(cl) * (phi / l) * sqrt(x - l * l)
-        l += 1
-    return count / d * total
+    return _scaled_main_sum(_main_terms(x, _support(x, gamma)), d, rho(d)[0])
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,9 @@ def discrepancy_table(
             f"estimated cost x*d_max = {cost} exceeds the ceiling {cost_ceiling}"
         )
     _check_x(x, DEFAULT_MAX_X)
-    sums, scale = _block_sums(x, d_max, gamma)
+    support = _support(x, gamma)
+    sums, scale = _block_sums(x, d_max, support)
+    terms = _main_terms(x, support)
     rows = []
     total_err = 0.0
     for d in range(1, d_max + 1):
@@ -356,26 +363,19 @@ def discrepancy_table(
         if a_d.denominator == 1:
             a_d = int(a_d)
         count, _ = rho(d)
-        m_d = main_term_M(x, d, gamma)
+        m_d = _scaled_main_sum(terms, d, count)
         err = abs(float(a_d) - m_d)
         total_err += err
         rows.append(GaussianRow(d, a_d, count, m_d, err))
     return GaussianTable(x, d_max, tuple(rows), total_err)
 
 
-def _block_sums(x: int, d_max: int, gamma: GammaSpec) -> tuple[list[int], int]:
+def _block_sums(x: int, d_max: int, support: list) -> tuple[list[int], int]:
     """L * A_d(x) for 0 <= d <= min(d_max, x) (index 0 unused) and the
     scale L, the least common multiple of the denominators of the gamma_l.
     A_d(x) = 0 for d > x, which has no multiple in [1, x]."""
-    coefficients = []
-    l = 1
-    while l * l < x:
-        cl = gamma.coefficient(l)
-        if cl:
-            coefficients.append((l, Fraction(cl)))
-        l += 1
-    scale = lcm(1, *(c.denominator for _, c in coefficients))
-    scaled = [(l, c.numerator * (scale // c.denominator)) for l, c in coefficients]
+    scale = lcm(1, *(c.denominator for _, c in support))
+    scaled = [(l, int(c * scale)) for l, c in support]
     dtype = np.int64 if scale * x < 1 << 63 else object
     sums = [0] * (min(d_max, x) + 1)
     for lo in range(1, x + 1, _BLOCK):

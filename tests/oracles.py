@@ -3,6 +3,7 @@ package implementation."""
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd, isqrt
 
 
@@ -56,4 +57,36 @@ def oracle_weight_sum(n: int, k: int = 4, eta: int = 7) -> int:
             for _, a in oracle_factor(d):
                 t *= a + 1
             total += t**eta
+    return total
+
+
+def triple_count(n_max: int) -> int:
+    """Number of n = pqr <= n_max with primes p < q < r and p^3 > qr.
+
+    The paper's equality analysis: while every tau(n) on [1, n_max] is below
+    1032 = 8 * (1 + 2^7), tau(n) = 8 S(n) holds exactly at these n, so this
+    is the census's equality count, derived without its sieve.
+    """
+    c = round(n_max ** (1 / 3))
+    while c**3 > n_max:
+        c -= 1
+    while (c + 1) ** 3 <= n_max:
+        c += 1
+    limit = c * c  # p^3 < n_max, so p <= c and r < p^2 <= c^2
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+    pi = list(accumulate(sieve))  # pi[m] = number of primes <= m
+    primes = [m for m in range(limit + 1) if sieve[m]]
+    total = 0
+    for p in primes:
+        if p**3 >= n_max:
+            break
+        for q in primes[pi[p]:]:
+            r_max = min(n_max // (p * q), (p**3 - 1) // q)
+            if r_max <= q:
+                break  # r_max only falls as q grows
+            total += pi[r_max] - pi[q]
     return total

@@ -41,7 +41,7 @@ from divbound.witness import (
     floor_quarter_inequalities,
     obstruction_instance,
 )
-from oracles import oracle_weight_sum
+from oracles import oracle_weight_sum, triple_count
 
 WORKERS = os.cpu_count() or 1
 
@@ -84,6 +84,7 @@ def test_criterion_1_headline_range_is_clean(headline_run):
 def test_criterion_2_equality_count(headline_run):
     payload, _ = headline_run
     assert payload["equalities"] == HEADLINE_EQUALITY_COUNT
+    assert payload["equalities"] == triple_count(HEADLINE_N_MAX)
     print(
         f"PASS criterion 2: equality attained exactly "
         f"{payload['equalities']:,} times on the inclusive range "
@@ -181,8 +182,8 @@ def test_criterion_7_obstruction_bound():
 
 def test_criterion_8a_harvest_vs_direct_enumeration():
     cfg = CensusConfig(n_max=10**4)
-    w, int64_ok = _weight_table(cfg)
-    assert int64_ok
+    w = _weight_table(cfg)
+    assert w.dtype == np.int64
     harvested = _harvest_segment(1, 10**4, cfg, w)
     for n in range(1, 10**4 + 1):
         assert harvested[n - 1] == oracle_weight_sum(n), n

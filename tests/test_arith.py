@@ -243,9 +243,10 @@ class TestSieveSegment:
 
     def test_consistency_with_factorize(self):
         # at 10^12 the cofactor left after the smallest prime falls below the
-        # table and is factored in one call
+        # table and is factored in one call; 997^2 starts its prime's pass
+        # at p*p inside the window
         for lo, hi in [(1, 3000), (10**6 - 500, 10**6 + 500), (999983, 10**6),
-                       (10**12, 10**12 + 2000)]:
+                       (997**2 - 50, 997**2 + 50), (10**12, 10**12 + 2000)]:
             seg = spf_sieve_segment(lo, hi)
             for n in range(max(lo, 2), hi + 1):
                 assert seg.factor(n) == list(factorize(n).factors)
@@ -283,6 +284,15 @@ class TestPrimes:
         assert next_prime_after(1) == 2
         assert next_prime_after(2) == 3
         assert next_prime_after(10**6) == 1000003
+
+    def test_next_prime_after_matches_oracle(self):
+        expected = 2
+        for x in range(-3, 3000):
+            if expected <= x:
+                expected = x + 1
+                while not oracle_is_prime(expected):
+                    expected += 1
+            assert next_prime_after(x) == expected, x
 
     def test_sieve_primes(self):
         assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

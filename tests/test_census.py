@@ -28,7 +28,7 @@ from divbound.census import (
     equality_census,
     verify_range,
 )
-from oracles import oracle_factor, oracle_tau, oracle_weight_sum
+from oracles import oracle_factor, oracle_tau, oracle_weight_sum, triple_count
 
 
 def _check_tau_segment(lo: int, hi: int) -> None:
@@ -159,15 +159,15 @@ class TestSegmentKernels:
 
     def test_harvest_equals_direct_enumeration(self):
         cfg = CensusConfig(n_max=10**4)
-        w, ok = _weight_table(cfg)
-        assert ok
+        w = _weight_table(cfg)
+        assert w.dtype == np.int64
         s = _harvest_segment(1, 10**4, cfg, w)
         for n in range(1, 10**4 + 1):
             assert s[n - 1] == oracle_weight_sum(n), n
 
     def test_harvest_respects_segment_boundaries(self):
         cfg = CensusConfig(n_max=10**4)
-        w, _ = _weight_table(cfg)
+        w = _weight_table(cfg)
         whole = _harvest_segment(1, 10**4, cfg, w)
         pieces = np.concatenate(
             [_harvest_segment(lo, min(lo + 999, 10**4), cfg, w)
@@ -307,8 +307,7 @@ class TestVerifyRange:
     )
     def test_wide_weight_fallback_matches_numpy_path(self, kwargs, collect):
         cfg = CensusConfig(**kwargs)
-        _, ok = _weight_table(cfg)
-        assert not ok
+        assert _weight_table(cfg).dtype == object
         wide = verify_range(cfg, collect_equalities=collect)
         cn, cd = cfg.constant.numerator, cfg.constant.denominator
         violations, equality_ns, best = 0, [], (0, 1, None)
@@ -416,6 +415,31 @@ class TestEqualityCensus:
         assert case.shape == "p1*p2*p3"
         case = classify_equality_shape(12)
         assert not case.matches_three_prime_form
+
+
+class TestTripleCount:
+    """The equality count derived a second way: while tau(n) < 1032 on the
+    range, equality holds exactly at n = pqr with p^3 > qr."""
+
+    def test_triple_count_matches_factoring(self):
+        count = 0
+        for n in range(1, 5001):
+            f = oracle_factor(n)
+            if [a for _, a in f] == [1, 1, 1]:
+                p, q, r = (prime for prime, _ in f)
+                count += p**3 > q * r
+            assert triple_count(n) == count, n
+
+    @pytest.mark.parametrize(
+        "n_max, pinned",
+        [(10**4, 61), (10**5, 791), (10**6, 7875), (3 * 10**6, 24349)],
+    )
+    def test_equalities_equal_triple_count(self, n_max, pinned):
+        report = verify_range(CensusConfig(n_max=n_max))
+        assert report.equalities == triple_count(n_max) == pinned
+        # the argument's premise: tau(n) >= 8 * (1 + 2^7) needs tau(n) >= 1032
+        t, _ = _tau_segment(1, n_max, _scan_primes(isqrt(n_max)))
+        assert int(t.max()) < 1032
 
 
 class TestCheckpointing:

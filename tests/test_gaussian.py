@@ -326,6 +326,23 @@ def gammas(draw):
     return GammaSpec(r=r, mode="table", table=table)
 
 
+class TestSupport:
+    @settings(max_examples=150, deadline=None)
+    @given(gamma=gammas(), j=st.integers(1, 12))
+    def test_matches_coefficient_filter(self, gamma, j):
+        # x = j^(2r) puts the r-th power j^r exactly on the l^2 < x edge
+        edge = j ** (2 * gamma.r)
+        for x in (1, 2, edge, edge + 1):
+            expected = [
+                (l, gamma.coefficient(l))
+                for l in range(1, isqrt(x) + 1)
+                if l * l < x and gamma.coefficient(l)
+            ]
+            got = gaussian._support(x, gamma)
+            assert got == expected, x
+            assert [type(c) for _, c in got] == [type(c) for _, c in expected]
+
+
 class TestBlockedTable:
     @settings(max_examples=150, deadline=None)
     @given(
