@@ -136,9 +136,7 @@ def next_prime_in(lo_exclusive: int, hi_exclusive: int) -> int | None:
         if 2 < hi_exclusive:
             return 2
         c = 3
-    if c % 2 == 0:
-        if is_prime(c) and c < hi_exclusive:
-            return c
+    if c % 2 == 0:  # c >= 4 here, so even c is composite
         c += 1
     while c < hi_exclusive:
         if is_prime(c):

@@ -19,6 +19,7 @@ from .arith import (
     next_prime_in,
     tau,
 )
+from .witness import CertificationError
 
 __all__ = ["LowerBoundInstance", "build_instance", "verify_instance"]
 
@@ -77,7 +78,9 @@ def build_instance(k: int, seed_above: int | None = None) -> LowerBoundInstance:
     inst = LowerBoundInstance(k, tuple(primes), n, Fraction(2 ** (k - 1)))
     problems: list[str] = []
     if not verify_instance(inst, diagnostics=problems):
-        raise RuntimeError("constructed instance failed verification: " + "; ".join(problems))
+        raise CertificationError(
+            "constructed instance failed verification: " + "; ".join(problems)
+        )
     return inst
 
 

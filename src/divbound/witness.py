@@ -3,9 +3,11 @@ d^4 <= n and tau(n) <= 8 * tau(d)^7.
 
 The construction groups the prime powers of n by exponent (1, 2, 3, >= 4),
 chooses a small divisor of each part whose tau is as large as the part
-allows, and composes the choices. Every certificate is re-checked with
-plain integer arithmetic before it is returned; a failed re-check is a
-hard fault, never a silent fallback.
+allows, and composes the choices. One rule, _choose, serves the parts of
+exponent 1, 2 and 3; the constants of its cases below four primes sit in
+the table _SMALL_PARTS. The high part keeps d = prod p^(a//4). Every
+certificate is re-checked with plain integer arithmetic before it is
+returned; a failed re-check is a hard fault, never a silent fallback.
 """
 
 from __future__ import annotations
@@ -87,16 +89,29 @@ def split_by_exponent(f: Factorization) -> ExponentSplit:
     return ExponentSplit(build(s1), build(s2), build(s3), build(hi))
 
 
-# Per-part choices. Each helper takes the part's (prime, exponent) list and
+# Per-part choices. Each chooser takes the part's (prime, exponent) list and
 # returns (d, tau_d, c) such that d divides the part, d^4 <= part and
 # tau(part) <= c * tau(d)^power with power = 4 for the high part, 7 otherwise.
 # The constant c is an integer pair (num, den), so construct_witness builds
 # no Fraction per n; the public witness_* functions return it as a Fraction.
+#
+# _choose covers the parts of t primes that all carry exponent e in {1, 2, 3}.
+# From t = 4 on, d is the product of p^e over the t // 4 smallest primes and
+# c = 1 (floor_quarter_inequalities). Below that, _SMALL_PARTS[e][t] holds
+# (k, tau_d, c) with d = p_min^k: the paper's small-case constants 2^t for
+# single primes, 3 and 1/4 for squares, 4, 1/8 and 1/32 for cubes.
 
 _Constant = tuple[int, int]
+_Choice = tuple[int, int, _Constant]
+
+_SMALL_PARTS: dict[int, tuple[tuple[int, int, _Constant], ...]] = {
+    1: ((0, 1, (1, 1)), (0, 1, (2, 1)), (0, 1, (4, 1)), (0, 1, (8, 1))),
+    2: ((0, 1, (1, 1)), (0, 1, (3, 1)), (1, 2, (1, 4)), (1, 2, (1, 4))),
+    3: ((0, 1, (1, 1)), (0, 1, (4, 1)), (1, 2, (1, 8)), (2, 3, (1, 32))),
+}
 
 
-def _choose_high(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
+def _choose_high(factors: list[tuple[int, int]]) -> _Choice:
     d = 1
     tau_d = 1
     for p, a in factors:
@@ -105,45 +120,15 @@ def _choose_high(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
     return d, tau_d, (1, 2 ** len(factors))
 
 
-def _choose_squarefree(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
+def _choose(factors: list[tuple[int, int]], e: int) -> _Choice:
     t = len(factors)
-    if t <= 3:
-        return 1, 1, (2**t, 1)
+    if t < 4:
+        k, tau_d, c = _SMALL_PARTS[e][t]
+        return (factors[0][0] ** k if k else 1), tau_d, c
     d = 1
     for p, _ in factors[: t // 4]:
-        d *= p
-    return d, 2 ** (t // 4), (1, 1)
-
-
-def _choose_square(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
-    t = len(factors)
-    if t == 0:
-        return 1, 1, (1, 1)
-    if t == 1:
-        return 1, 1, (3, 1)
-    if t <= 3:
-        return factors[0][0], 2, (1, 4)
-    d = 1
-    for p, _ in factors[: t // 4]:
-        d *= p * p
-    return d, 3 ** (t // 4), (1, 1)
-
-
-def _choose_cube(factors: list[tuple[int, int]]) -> tuple[int, int, _Constant]:
-    t = len(factors)
-    if t == 0:
-        return 1, 1, (1, 1)
-    if t == 1:
-        return 1, 1, (4, 1)
-    if t == 2:
-        return factors[0][0], 2, (1, 8)
-    if t == 3:
-        p = factors[0][0]
-        return p * p, 3, (1, 32)
-    d = 1
-    for p, _ in factors[: t // 4]:
-        d *= p**3
-    return d, 4 ** (t // 4), (1, 1)
+        d *= p**e
+    return d, (e + 1) ** (t // 4), (1, 1)
 
 
 def _certify_part(
@@ -161,17 +146,29 @@ def _certify_part(
         )
 
 
+def _witness_part(part: Factorization, e: int) -> tuple[int, Fraction]:
+    """Validate, choose and certify the divisor of a part whose exponents
+    all equal e, where e = 4 stands for every exponent >= 4."""
+    if any(min(a, 4) != e for _, a in part.factors):
+        raise ValueError(
+            "every exponent must be >= 4" if e == 4
+            else f"every exponent must equal {e}"
+        )
+    if e == 4:
+        d, tau_d, c = _choose_high(list(part.factors))
+    else:
+        d, tau_d, c = _choose(list(part.factors), e)
+    _certify_part(part, d, tau_d, c, 4 if e == 4 else 7)
+    return d, Fraction(*c)
+
+
 def witness_high_exponent(part: Factorization) -> tuple[int, Fraction]:
     """Divisor choice for a part whose exponents are all >= 4.
 
     Returns (d, c) with d = prod p^(a//4), certifying d^4 <= part and
     tau(part) <= c * tau(d)^4 where c = 2^-omega(part).
     """
-    if any(a < 4 for _, a in part.factors):
-        raise ValueError("every exponent must be >= 4")
-    d, tau_d, c = _choose_high(list(part.factors))
-    _certify_part(part, d, tau_d, c, 4)
-    return d, Fraction(*c)
+    return _witness_part(part, 4)
 
 
 def witness_squarefree(part: Factorization) -> tuple[int, Fraction]:
@@ -180,33 +177,21 @@ def witness_squarefree(part: Factorization) -> tuple[int, Fraction]:
     t <= 3 primes: d = 1 with constant c = 2^t; t >= 4: d = product of the
     floor(t/4) smallest primes with c = 1. Certifies tau(part) <= c * tau(d)^7.
     """
-    if any(a != 1 for _, a in part.factors):
-        raise ValueError("part must be squarefree")
-    d, tau_d, c = _choose_squarefree(list(part.factors))
-    _certify_part(part, d, tau_d, c, 7)
-    return d, Fraction(*c)
+    return _witness_part(part, 1)
 
 
 def witness_square_part(part: Factorization) -> tuple[int, Fraction]:
     """Divisor choice for a part that is a product of squares of distinct
     primes: c = 3 for one prime, d = smallest prime with c = 1/4 for two or
     three, squares of the floor(t/4) smallest primes with c = 1 beyond."""
-    if any(a != 2 for _, a in part.factors):
-        raise ValueError("every exponent must equal 2")
-    d, tau_d, c = _choose_square(list(part.factors))
-    _certify_part(part, d, tau_d, c, 7)
-    return d, Fraction(*c)
+    return _witness_part(part, 2)
 
 
 def witness_cube_part(part: Factorization) -> tuple[int, Fraction]:
     """Divisor choice for a part that is a product of cubes of distinct
     primes: c = 4 / 1/8 / 1/32 for one / two / three primes (d = 1, smallest
     prime, its square), cubes of the floor(t/4) smallest primes beyond."""
-    if any(a != 3 for _, a in part.factors):
-        raise ValueError("every exponent must equal 3")
-    d, tau_d, c = _choose_cube(list(part.factors))
-    _certify_part(part, d, tau_d, c, 7)
-    return d, Fraction(*c)
+    return _witness_part(part, 3)
 
 
 @dataclass(frozen=True)
@@ -250,23 +235,18 @@ def _dispatch_m(
     """
     w1, w2, w3 = len(s1), len(s2), len(s3)
 
-    if w2 in (2, 3):
-        d1, t1, _ = _choose_squarefree(s1)
-        d2, t2, _ = _choose_square(s2)
-        d3, t3, _ = _choose_cube(s3)
-        return d1 * d2 * d3, t1 * t2 * t3, "heavy-square"
-
-    if w3 in (2, 3):
-        d1, t1, _ = _choose_squarefree(s1)
-        d2, t2, _ = _choose_square(s2)
-        d3, t3, _ = _choose_cube(s3)
-        return d1 * d2 * d3, t1 * t2 * t3, "heavy-cube"
+    if w2 in (2, 3) or w3 in (2, 3):
+        d1, t1, _ = _choose(s1, 1)
+        d2, t2, _ = _choose(s2, 2)
+        d3, t3, _ = _choose(s3, 3)
+        label = "heavy-square" if w2 in (2, 3) else "heavy-cube"
+        return d1 * d2 * d3, t1 * t2 * t3, label
 
     # from here on w2, w3 are 0, 1 or >= 4
     if w2 == 1 and w3 == 1:
         # one square times one cube: the smaller of the two primes has
         # fourth power below their product and tau 2, beating tau = 12
-        d1, t1, _ = _choose_squarefree(s1)
+        d1, t1, _ = _choose(s1, 1)
         dp = min(s2[0][0], s3[0][0])
         return d1 * dp, t1 * 2, f"sq1-cu1-minprime-sf{_bucket(w1)}"
 
@@ -274,20 +254,20 @@ def _dispatch_m(
         # 2-3 single primes plus one square: constants alone exceed 8, but
         # the minimum prime among them has d^4 below the combined part
         dp = _min_prime_of(s1, s2)
-        d3, t3, _ = _choose_cube(s3)
+        d3, t3, _ = _choose(s3, 3)
         suffix = "-cu4p" if w3 else ""
         return dp * d3, 2 * t3, f"sf{w1}-sq1-minprime{suffix}"
 
     if w1 in (2, 3) and w3 == 1:
         dp = _min_prime_of(s1, s3)
-        d2, t2, _ = _choose_square(s2)
+        d2, t2, _ = _choose(s2, 2)
         suffix = "-sq4p" if w2 else ""
         return dp * d2, 2 * t2, f"sf{w1}-cu1-minprime{suffix}"
 
     # straight product of the per-part choices; constants multiply to <= 8
-    d1, t1, (num1, den1) = _choose_squarefree(s1)
-    d2, t2, (num2, den2) = _choose_square(s2)
-    d3, t3, (num3, den3) = _choose_cube(s3)
+    d1, t1, (num1, den1) = _choose(s1, 1)
+    d2, t2, (num2, den2) = _choose(s2, 2)
+    d3, t3, (num3, den3) = _choose(s3, 3)
     num, den = num1 * num2 * num3, den1 * den2 * den3
     if num > 8 * den:
         raise CertificationError(
@@ -334,19 +314,17 @@ def construct_witness(
     d = d_m * d_hi
 
     # independent re-check from (factors, d) alone
-    tau_n = 1
     tau_d = 1
-    rebuilt = 1
-    for p, a in factors:
-        tau_n *= a + 1
+    rest = d
+    for p, _ in factors:
         e = 0
-        while d % p**(e + 1) == 0:
+        while rest % p == 0:
+            rest //= p
             e += 1
         tau_d *= e + 1
-        rebuilt *= p**e
-    if rebuilt != d:
+    if rest != 1:
         raise CertificationError(f"chosen divisor {d} has factors outside n")
-    return WitnessCertificate(n, d, label, tau_n, tau_d)
+    return WitnessCertificate(n, d, label, tau(factorization), tau_d)
 
 
 def obstruction_instance(
@@ -369,18 +347,15 @@ def obstruction_instance(
     for _ in range(t1 + t2):
         p = next_prime_after(p)
         primes.append(p)
-    squares = primes[:t1]
-    cubes = primes[t1:]
-    factors = sorted([(p, 2) for p in squares] + [(q, 3) for q in cubes])
+    squares = [(p, 2) for p in primes[:t1]]
+    cubes = [(q, 3) for q in primes[t1:]]
+    factors = sorted(squares + cubes)
     f = Factorization(prod(p**a for p, a in factors), tuple(factors))
 
-    d = 1
-    for p in squares[: t1 // 4]:
-        d *= p * p
-    for q in cubes[: t2 // 4]:
-        d *= q**3
-    tau_d = 3 ** (t1 // 4) * 4 ** (t2 // 4)
-    ratio = Fraction(3**t1 * 4**t2, tau_d**6)
+    d_sq, tau_sq, _ = _choose(squares, 2)
+    d_cu, tau_cu, _ = _choose(cubes, 3)
+    d = d_sq * d_cu
+    ratio = Fraction(tau(f), (tau_sq * tau_cu) ** 6)
 
     if f.n % d != 0 or d**4 > f.n:
         raise CertificationError("obstruction divisor is not admissible")

@@ -164,6 +164,17 @@ class TestLowerboundCommand:
         code, _, err = run_cli(capsys, "lowerbound", "--k", "13")
         assert code == 3
 
+    def test_failed_verification_exits_3(self, capsys, monkeypatch):
+        # exit 1 is reserved for a genuine violation; an instance that fails
+        # its own re-check is a runtime fault
+        monkeypatch.setattr(
+            "divbound.lowerbound.verify_instance", lambda *a, **k: False
+        )
+        code, out, err = run_cli(capsys, "lowerbound", "--k", "4")
+        assert code == 3
+        assert out == ""
+        assert "failed verification" in err
+
     def test_payload_reconstructs_instance(self, capsys):
         _, out, _ = run_cli(capsys, "lowerbound", "--k", "5")
         p = json.loads(out)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from math import prod
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import nextprime
 
 from divbound.arith import Factorization, factorize, sieve_primes, tau
+import divbound.witness as witness_module
 from divbound.witness import (
     CertificationError,
     WitnessCertificate,
@@ -31,11 +33,23 @@ PRIMES = sieve_primes(10**4)
 PRIME_POOL = PRIMES[:100] + [
     nextprime(2**k) for k in (10, 20, 32, 40, 63, 64, 80, 100, 128)
 ]
-SHAPES = st.lists(
-    st.tuples(st.sampled_from(PRIME_POOL), st.integers(1, 9)),
-    max_size=14,
-    unique_by=lambda f: f[0],
-).map(sorted)
+# widths 2, 3 and 4 of an exponent-1, 2 or 3 part sit on the dispatch
+# thresholds, so they are drawn about twice as often as the other widths
+PART_WIDTH = st.one_of(st.sampled_from((2, 3, 4)), st.integers(0, 6))
+
+
+@st.composite
+def shapes(draw) -> list[tuple[int, int]]:
+    exponents = [e for e in (1, 2, 3) for _ in range(draw(PART_WIDTH))]
+    exponents += draw(st.lists(st.integers(4, 9), max_size=3))
+    primes = draw(st.lists(
+        st.sampled_from(PRIME_POOL),
+        min_size=len(exponents), max_size=len(exponents), unique=True,
+    ))
+    return sorted(zip(primes, exponents))
+
+
+SHAPES = shapes()
 
 
 def shape_factorization(shape: list[tuple[int, int]]) -> Factorization:
@@ -277,6 +291,16 @@ class TestConstructWitness:
     def test_deterministic(self):
         assert construct_witness(987654) == construct_witness(987654)
 
+    @pytest.mark.parametrize("bad_d", [2 * 7, 2 * 3 * 5, 2 * 2])
+    def test_recheck_rejects_a_wrong_choice(self, monkeypatch, bad_d):
+        # a chooser whose d has a prime n lacks, a prime power n lacks or a
+        # fourth power above n is a fault, whatever label and tau it reports
+        monkeypatch.setattr(
+            witness_module, "_dispatch_m", lambda *parts: (bad_d, 2, "rigged")
+        )
+        with pytest.raises(CertificationError):
+            construct_witness(2 * 3 * 5 * 11 * 13)
+
     def test_every_label_shape_reachable(self):
         # one concrete n per dispatch branch
         cases = {
@@ -305,32 +329,46 @@ class TestConstructWitness:
             assert cert.case_label == label, (n, cert.case_label)
 
 
+def bucket_shapes():
+    """One Factorization per (squarefree, square, cube, high) width
+    combination, built from distinct small primes; widths 0 and 5 reach past
+    every dispatch threshold. 648 shapes in a fixed order."""
+    primes = PRIMES[:20]
+    for w1 in range(6):
+        for w2 in range(6):
+            for w3 in range(6):
+                for wh in range(3):
+                    it = iter(primes)
+                    factors = []
+                    factors += [(next(it), 1) for _ in range(w1)]
+                    factors += [(next(it), 2) for _ in range(w2)]
+                    factors += [(next(it), 3) for _ in range(w3)]
+                    factors += [(next(it), 4 + i) for i in range(wh)]
+                    yield shape_factorization(sorted(factors))
+
+
 class TestCaseTreeExhaustive:
     def test_every_bucket_combination_certifies(self):
-        # build one n per (squarefree, square, cube, high) width combination
-        # from distinct small primes; widths 0 and 5 reach past every
-        # dispatch threshold
-        primes = PRIMES[:20]
-        for w1 in range(6):
-            for w2 in range(6):
-                for w3 in range(6):
-                    for wh in range(3):
-                        it = iter(primes)
-                        factors = []
-                        factors += [(next(it), 1) for _ in range(w1)]
-                        factors += [(next(it), 2) for _ in range(w2)]
-                        factors += [(next(it), 3) for _ in range(w3)]
-                        factors += [(next(it), 4 + i) for i in range(wh)]
-                        factors.sort()
-                        n = 1
-                        for p, a in factors:
-                            n *= p**a
-                        f = Factorization(n, tuple(factors))
-                        cert = construct_witness(n, f)
-                        assert n % cert.d == 0
-                        assert cert.d**4 <= n
-                        assert cert.tau_n == tau(f)
-                        assert cert.tau_n <= 8 * cert.tau_d**7
+        for f in bucket_shapes():
+            cert = construct_witness(f.n, f)
+            assert f.n % cert.d == 0
+            assert cert.d**4 <= f.n
+            assert cert.tau_n == tau(f)
+            assert cert.tau_n <= 8 * cert.tau_d**7
+
+    def test_chosen_divisors_are_pinned(self):
+        # every check above accepts any admissible d; this pins which d, and
+        # which case label, the construction picks, so a refactor of the
+        # choosers cannot change them unnoticed
+        certs = [construct_witness(n) for n in range(1, 10**4 + 1)]
+        certs += [construct_witness(f.n, f) for f in bucket_shapes()]
+        digest = hashlib.sha256()
+        for c in certs:
+            digest.update(f"{c.n} {c.d} {c.case_label} {c.tau_d}\n".encode())
+        assert len(certs) == 10_648
+        assert digest.hexdigest() == (
+            "742be45de97fa6f48ff22e65adfde873f29d63477fb0af0712dcd5e885d6ba60"
+        )
 
     def test_worst_case_constant_is_attained_only_with_unit_divisor(self):
         # branches that return d = 1 must still meet the bound: tau <= 8
