@@ -3,14 +3,24 @@
 Scans n in [1, n_max] and compares tau(n) against C * S(n), where S(n)
 sums a divisor weight over the divisors d | n with d^k <= n. The scan is
 segmented, and each segment is compared in windows: _WINDOW n at a time
-for int64 and float64 weight sums, _WIDE_CHUNK n at a time for sums that
-overflow int64 and are held as Python ints. In a window tau comes from a
-strided sieve over prime powers p^j <= hi, which updates tau in place on
-the basic slice of multiples of each p^j, and S from harvesting multiples
-of each small d, so no n is factorized on its own. The exact maximum
-ratio is taken over the distinct (tau, S) pairs of the candidates, not
-over every candidate. Counters merge order-independently, which makes
-reports identical for any worker count, segment size or window size.
+for int32, int64 and float64 weight sums, _WIDE_CHUNK n at a time for
+sums that overflow int64 and are held as Python ints. In a window tau
+comes from a strided sieve over prime powers p^j <= hi, which updates tau
+in place on the basic slice of multiples of each p^j, and S from
+harvesting multiples of each small d, so no n is factorized on its own.
+
+The integer arrays are as narrow as a proven bound allows. Each value the
+sieve gives tau is the tau of a divisor of some n <= hi, and divisors
+pair up around sqrt(n), so it is at most 2 sqrt(hi): int16 below 2^28,
+int32 below 2^60. The product of the sieved prime powers divides n, so
+it fits int32 below 2^31. S takes the weight table's dtype: int32 when
+C's numerator times the sum of all weights and C's denominator times
+2 sqrt(n_max) stay below 2^31. tau is widened to it before the compare.
+
+The exact maximum ratio is taken over the distinct (tau, S) pairs of the
+candidates, not over every candidate. Counters merge order-independently,
+which makes reports identical for any worker count, segment size or
+window size.
 """
 
 from __future__ import annotations
@@ -61,10 +71,10 @@ _INT64_SAFE = 1 << 62
 # 38.3 MB for the per-n factorizing scan that this replaced.
 _WIDE_CHUNK = 1 << 12
 
-# Segments with int64 or float64 weights are compared this many n at a
+# Segments with fixed-width weights are compared this many n at a
 # time, which bounds the numpy temporaries of a segment: tracemalloc peaks
-# at 44 MB for a 2^22 segment at the top of [1, 10^8], 176 MB without
-# windows. With two threads scanning such segments side by side, windows
+# at 20 MB for a 2^22 segment at the top of [1, 10^8], against 176 MB for
+# whole-segment int64 arrays. With two threads scanning such segments side by side, windows
 # of 2^19, 2^20 and 2^21 took 194-240 ms per segment, too close to rank,
 # and 2^18 and whole 2^22 segments 217-274 ms (two runs each, 2-core
 # Xeon); 2^20 is the middle of the flat range.
@@ -231,8 +241,12 @@ def divisor_weight_sum(n: int, cfg: CensusConfig) -> int | float:
 def _weight_table(cfg: CensusConfig) -> np.ndarray:
     """Per-d weights for d up to floor(n_max^(1/k)).
 
-    When the worst-case sums would not fit 64-bit the table holds Python
-    ints (object dtype), and the scan compares in windows of _WIDE_CHUNK n.
+    On the exact path the table takes the narrowest dtype that holds both
+    products of the compare: numerator * S(n) <= numerator * (sum of the
+    weights), and denominator * tau(n) <= denominator * 2 isqrt(n_max).
+    That is int32 when the larger is below 2^31, int64 below 2^62, and
+    otherwise Python ints (object dtype), which the scan compares in
+    windows of _WIDE_CHUNK n.
     """
     d_max = integer_kth_root(cfg.n_max, cfg.k)
     weights = [0] + [_weight(d, cfg) for d in range(1, d_max + 1)]
@@ -243,6 +257,8 @@ def _weight_table(cfg: CensusConfig) -> np.ndarray:
         cfg.constant.numerator * total,
         cfg.constant.denominator * 2 * isqrt(cfg.n_max) + 1,
     )
+    if bound < 1 << 31:
+        return np.array(weights, dtype=np.int32)
     if bound < _INT64_SAFE and max(weights) < _INT64_SAFE:
         return np.array(weights, dtype=np.int64)
     return np.array(weights, dtype=object)
@@ -255,6 +271,13 @@ def _weight_table(cfg: CensusConfig) -> np.ndarray:
 def _scan_primes(limit: int) -> np.ndarray:
     """Sieving primes for a scan: the shared arith sieve, up to limit."""
     return _prime_sieve(limit)
+
+
+def _tau_dtypes(hi: int) -> tuple[type, type]:
+    """The dtypes of _tau_segment's tau and prod arrays for a window ending
+    at hi: tau <= 2 sqrt(hi) and prod <= hi, as proved there."""
+    tau_dtype = np.int16 if hi < 1 << 28 else np.int32 if hi < 1 << 60 else np.int64
+    return tau_dtype, np.int32 if hi < 1 << 31 else np.int64
 
 
 def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,11 +294,19 @@ def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
     n built from them. The cofactor n / prod has no prime factor p with
     p^2 <= hi, so it is 1 or a single prime: two such primes would make it
     larger than hi. Where prod != n, tau doubles once for that prime.
+
+    tau and prod take the dtypes of _tau_dtypes(hi), which hold every value
+    they pass through: each value of tau, also between the division and the
+    multiplication, is the tau of a divisor of n, so at most 2 sqrt(hi);
+    prod is a divisor of n, so at most hi. The returned tau is therefore
+    int16 below 2^28; callers widen it before any arithmetic that could
+    leave that range.
     """
     length = hi - lo + 1
-    tau = np.ones(length, dtype=np.int64)
+    tau_dtype, prod_dtype = _tau_dtypes(hi)
+    tau = np.ones(length, dtype=tau_dtype)
     sqfree = np.ones(length, dtype=bool)
-    prod = np.ones(length, dtype=np.int64)
+    prod = np.ones(length, dtype=prod_dtype)
     for p in primes:
         p = int(p)
         if p * p > hi:
@@ -296,7 +327,7 @@ def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
             prod[s::q] *= p
             q *= p
             j += 1
-    n = np.arange(lo, hi + 1, dtype=np.int64)
+    n = np.arange(lo, hi + 1, dtype=prod_dtype)
     np.multiply(tau, 2, out=tau, where=prod != n)
     return tau, sqfree
 
@@ -414,22 +445,29 @@ def _compare_window(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray, collect: bool
 ) -> _SegmentResult:
     """tau(n) against constant * S(n) for every n in [lo, hi]. S takes the
-    dtype of w (int64, float64 or object); tau is cast to it, so with
-    object weights every product is a Python int and cannot overflow."""
+    dtype of w (int32, int64, float64 or object), which _weight_table chose
+    to hold both products of the compare. tau comes from the sieve as
+    narrow as hi allows and is widened to that dtype before any product,
+    ratio or compare, so no product overflows; with object weights every
+    product is a Python int."""
     tau, sqfree = _tau_segment(lo, hi, primes)
     S = _harvest_segment(lo, hi, cfg, w)
-    tau = tau.astype(S.dtype, copy=False)
+    tau = tau.astype(S.dtype, copy=False)  # drops the narrow copy
     cn, cd = cfg.constant.numerator, cfg.constant.denominator
 
+    # the products are freed before the ratio array is allocated
     if cfg.exact:
-        lhs, rhs = cd * tau, cn * S
+        lhs = tau if cd == 1 else cd * tau
+        rhs = cn * S
         viol_mask = lhs > rhs
         eq_mask = lhs == rhs
+        del lhs, rhs
     else:
         rhs_f = float(cfg.constant) * S
         tol = FLOAT_REL_TOL * np.maximum(rhs_f, 1.0)
         viol_mask = tau > rhs_f + tol
         eq_mask = np.abs(tau - rhs_f) <= tol
+        del rhs_f, tol
 
     if cfg.squarefree_only:
         viol_mask &= sqfree

@@ -183,7 +183,7 @@ def test_criterion_7_obstruction_bound():
 def test_criterion_8a_harvest_vs_direct_enumeration():
     cfg = CensusConfig(n_max=10**4)
     w = _weight_table(cfg)
-    assert w.dtype == np.int64
+    assert w.dtype == np.int32
     harvested = _harvest_segment(1, 10**4, cfg, w)
     for n in range(1, 10**4 + 1):
         assert harvested[n - 1] == oracle_weight_sum(n), n

@@ -273,6 +273,25 @@ class TestPrimes:
     def test_is_prime_large(self):
         assert is_prime((1 << 61) - 1)  # Mersenne prime
         assert not is_prime((1 << 60) + 1)
+        # 151 * 751 * 28351 passes bases 2, 3, 5 and 7 but not 61
+        assert not is_prime(3215031751)
+
+    def test_is_prime_matches_oracle_in_the_2_7_61_tier(self):
+        # [25326001, 4759123141) is decided by bases 2, 7 and 61 alone.
+        # The sample: the strong pseudoprimes to bases 2, 3 and 5 there,
+        # the Carmichael numbers (6k+1)(12k+1)(18k+1) there, the 300
+        # integers from the tier's start, and 300 seeded random ones.
+        lo, hi = 25326001, 4759123141
+        sample = [25326001, 161304001, 960946321, 1157839381, 3215031751]
+        for k in range(1, 400):
+            f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if lo <= prod(f) < hi and all(map(oracle_is_prime, f)):
+                sample.append(prod(f))
+        sample += range(lo, lo + 300)
+        rng = random.Random(20260808)
+        sample += [rng.randrange(lo, hi) for _ in range(300)]
+        for n in sample:
+            assert is_prime(n) == oracle_is_prime(n), n
 
     def test_next_prime_in_examples(self):
         assert next_prime_in(11, 22) == 13

@@ -20,6 +20,7 @@ from divbound.census import (
     ScanInterrupted,
     _harvest_segment,
     _scan_primes,
+    _tau_dtypes,
     _tau_segment,
     _weight_table,
     best_constant_curve,
@@ -28,7 +29,13 @@ from divbound.census import (
     equality_census,
     verify_range,
 )
-from oracles import oracle_factor, oracle_tau, oracle_weight_sum, triple_count
+from oracles import (
+    oracle_divisors,
+    oracle_factor,
+    oracle_tau,
+    oracle_weight_sum,
+    triple_count,
+)
 
 
 def _check_tau_segment(lo: int, hi: int) -> None:
@@ -53,24 +60,61 @@ _TAU_EDGE_WINDOWS = (
     # windows that end at p^2 - 1 and at p^2
     + [(max(1, p * p - 300), p * p - e) for p in (2, 3, 97, 9973) for e in (1, 0)]
     + [(10**8 - 1999, 10**8)]
+    # windows that end where _tau_dtypes widens tau (2^28) or prod (2^31)
+    + [(2**b - 300, 2**b - e) for b in (28, 31) for e in (1, 0)]
 )
 
 
-def brute_report(n_max: int, constant: Fraction = Fraction(8)):
-    """Per-n oracle for violations / equalities / max ratio."""
+# The largest integer constant C with C * (sum of the weights) < 2^31 for
+# 10^4 <= n_max < 11^4, the last whose weight table is int32. The sum is tau(d)^7
+# over d <= 10: d = 1, the primes 2, 3, 5, 7, then 4, 9, then 6, 8, 10.
+_INT32_EDGE = (2**31 - 1) // (1 + 2**7 * 4 + 3**7 * 2 + 4**7 * 3)
+
+
+def brute_report(
+    n_max: int,
+    constant: Fraction = Fraction(8),
+    *,
+    eta: int | float = 7,
+    weight: str = "tau_power",
+    squarefree_only: bool = False,
+):
+    """Per-n oracle for violations / equalities / max ratio. A non-integer
+    eta (tau_power only) compares float sums at census.FLOAT_REL_TOL."""
+    exact = weight == "landreau" or isinstance(eta, int)
     violations = equalities = 0
     best = (0, 1, None)
     for n in range(1, n_max + 1):
+        if squarefree_only and any(a > 1 for _, a in oracle_factor(n)):
+            continue
         t = oracle_tau(n)
-        s = oracle_weight_sum(n)
-        lhs, rhs = t * constant.denominator, constant.numerator * s
-        if lhs > rhs:
-            violations += 1
-        elif lhs == rhs:
-            equalities += 1
-        if best[2] is None or t * best[1] > best[0] * s:
-            best = (t, s, n)
-    return violations, equalities, Fraction(best[0], best[1]), best[2]
+        if weight == "landreau":
+            s = sum(
+                (2 ** len(oracle_factor(d)) * oracle_tau(d)) ** 4
+                for d in oracle_divisors(n) if d**4 <= n
+            )
+        elif exact:
+            s = oracle_weight_sum(n, eta=eta)
+        else:
+            s = sum(
+                float(oracle_tau(d)) ** eta for d in oracle_divisors(n) if d**4 <= n
+            )
+        if exact:
+            lhs, rhs = t * constant.denominator, constant.numerator * s
+            violations += lhs > rhs
+            equalities += lhs == rhs
+            if best[2] is None or t * best[1] > best[0] * s:
+                best = (t, s, n)
+        else:
+            rhs_f = float(constant) * s
+            tol = census.FLOAT_REL_TOL * max(rhs_f, 1.0)
+            violations += t > rhs_f + tol
+            equalities += abs(t - rhs_f) <= tol
+            if best[2] is None or t / s > best[0] / best[1]:
+                best = (t, s, n)
+    if exact:
+        return violations, equalities, Fraction(best[0], best[1]), best[2]
+    return violations, equalities, best[0] / best[1], best[2]
 
 
 class TestConfig:
@@ -137,6 +181,7 @@ class TestSegmentKernels:
     def test_tau_segment_matches_oracle(self, small_tau_table):
         primes = _scan_primes(100)
         t, sq = _tau_segment(1, 10**4, primes)
+        assert t.dtype == np.int16
         for n in range(1, 10**4 + 1):
             assert t[n - 1] == small_tau_table[n]
             assert sq[n - 1] == all(a == 1 for _, a in factorize(n).factors)
@@ -157,10 +202,20 @@ class TestSegmentKernels:
     def test_tau_segment_edges(self, lo, hi):
         _check_tau_segment(lo, hi)
 
+    def test_tau_dtypes_widen_at_their_bounds(self):
+        # tau(n) <= 2 sqrt(n) fits int16 below 2^28 and int32 below 2^60;
+        # prod <= n fits int32 below 2^31. 2^60 is far past any sieve.
+        assert _tau_dtypes(2**28 - 1) == (np.int16, np.int32)
+        assert _tau_dtypes(2**28) == (np.int32, np.int32)
+        assert _tau_dtypes(2**31 - 1) == (np.int32, np.int32)
+        assert _tau_dtypes(2**31) == (np.int32, np.int64)
+        assert _tau_dtypes(2**60 - 1) == (np.int32, np.int64)
+        assert _tau_dtypes(2**60) == (np.int64, np.int64)
+
     def test_harvest_equals_direct_enumeration(self):
         cfg = CensusConfig(n_max=10**4)
         w = _weight_table(cfg)
-        assert w.dtype == np.int64
+        assert w.dtype == np.int32
         s = _harvest_segment(1, 10**4, cfg, w)
         for n in range(1, 10**4 + 1):
             assert s[n - 1] == oracle_weight_sum(n), n
@@ -213,6 +268,43 @@ class TestVerifyRange:
         report = verify_range(CensusConfig(n_max=500, constant=Fraction(7, 2)))
         v, e, _, _ = brute_report(500, Fraction(7, 2))
         assert (report.violations, report.equalities) == (v, e)
+
+    # Each config compares an int16 tau against S. cd * tau passes 2^15
+    # for the denominator 1000 and 2^31 for 10^8 and 10^10. Just above and
+    # just below 8, the ratio-8 cases flip between equality and violation;
+    # at 1/den every n is a violation, so a wrapped cd * tau would drop
+    # some. The integer constants put cn * (sum of the weights) just below
+    # and at 2^31, the edge between int32 and int64 tables; S reaches that
+    # sum at n = 10080, the first n >= 10^4 that every d <= 10 divides, so
+    # a wrapped cn * S would count a violation there. The float, landreau
+    # and squarefree paths read tau too.
+    @pytest.mark.parametrize(
+        "kwargs, dtype",
+        [(dict(constant=c), np.int64 if den > 1000 else np.int32)
+         for den in (1000, 10**8, 10**10)
+         for c in (Fraction(8 * den + 1, den), Fraction(8 * den - 1, den))]
+        + [(dict(constant=Fraction(1, den)), dtype)
+           for den, dtype in ((1000, np.int32), (10**8, np.int64), (10**10, np.int64))]
+        + [(dict(constant=_INT32_EDGE), np.int32),
+           (dict(constant=_INT32_EDGE + 1), np.int64),
+           (dict(eta=6.5), np.float64),
+           (dict(weight="landreau"), np.int32),
+           (dict(squarefree_only=True), np.int32)],
+        ids=[f"c{den}{c}" for den in ("1e3", "1e8", "1e10") for c in ("+", "-")]
+        + ["c1e3-small", "c1e8-small", "c1e10-small", "int32-edge", "int64-edge",
+           "eta6.5", "landreau", "squarefree"],
+    )
+    def test_narrow_tau_is_widened_before_the_compare(self, kwargs, dtype):
+        cfg = CensusConfig(n_max=10080, **kwargs)
+        assert _weight_table(cfg).dtype == dtype
+        report = verify_range(cfg)
+        v, e, ratio, argmax = brute_report(
+            cfg.n_max, cfg.constant, eta=cfg.eta, weight=cfg.weight,
+            squarefree_only=cfg.squarefree_only,
+        )
+        assert (report.violations, report.equalities) == (v, e)
+        assert report.max_ratio == ratio
+        assert report.argmax_n == argmax
 
     def test_determinism_across_workers_and_segments(self):
         base = verify_range(CensusConfig(n_max=40000, segment_size=1 << 14))
@@ -374,7 +466,7 @@ class TestWindows:
             if census._ratio_greater(tau_[i], S[i], lo + i, *best):
                 best = (tau_[i], S[i], lo + i)
         idx = np.array(cand, dtype=np.int64)
-        for dtype in (np.int64, object):
+        for dtype in (np.int32, np.int64, object):
             got = census._exact_argmax(
                 np.array(tau_, dtype=dtype), np.array(S, dtype=dtype), idx, lo
             )
