@@ -8,6 +8,11 @@ sums that overflow int64 and are held as Python ints. In a window tau
 comes from a strided sieve over prime powers p^j <= hi, which updates tau
 in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
+The d that divide _PERIOD = 151200 and have d^k <= lo add to S a pattern
+of period _PERIOD in n, built once and copied into every window that
+needs it; the others are added one strided slice per d. Only integer S
+takes the pattern: integer sums do not depend on the order of the adds,
+and float64 sums keep the ascending order of d bit for bit.
 
 The integer arrays are as narrow as a proven bound allows. Each value the
 sieve gives tau is the tau of a divisor of some n <= hi, and divisors
@@ -293,7 +298,8 @@ def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
     holds prod (e + 1) over the sieving primes and prod holds the part of
     n built from them. The cofactor n / prod has no prime factor p with
     p^2 <= hi, so it is 1 or a single prime: two such primes would make it
-    larger than hi. Where prod != n, tau doubles once for that prime.
+    larger than hi. Where prod != n, tau doubles once for that prime: one
+    shift of tau by the mask prod != n, by 1 there and by 0 elsewhere.
 
     tau and prod take the dtypes of _tau_dtypes(hi), which hold every value
     they pass through: each value of tau, also between the division and the
@@ -328,21 +334,79 @@ def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
             q *= p
             j += 1
     n = np.arange(lo, hi + 1, dtype=prod_dtype)
-    np.multiply(tau, 2, out=tau, where=prod != n)
+    tau <<= prod != n  # a shift by 0 or 1: no mask pass over tau
     return tau, sqfree
+
+
+# The period of the harvest. 151200 = 2^5 * 3^3 * 5^2 * 7 is divisible by
+# 42 of the 100 d of the default scan, every d <= 10 among them.
+_PERIOD = 151200
+_PERIOD_DIVISORS = sorted(
+    2**a * 3**b * 5**c * 7**e
+    for a in range(6) for b in range(4) for c in range(3) for e in range(2)
+)
+
+# The one resident pattern, (key, pattern); see _period_pattern. One slot,
+# not a cache of several: census windows ascend, so a pattern is not needed
+# again once the next divisor of _PERIOD joins, and the one slot already
+# raises census-headline's peak RSS from 84 to 86 MB.
+_pattern_slot: tuple[tuple, np.ndarray] | None = None
+
+
+def _period_pattern(ds: list[int], w: np.ndarray) -> np.ndarray:
+    """pattern[i] = sum of w[d] over the d in ds that divide i, for i in
+    [0, _PERIOD); every d in ds divides _PERIOD, so this is the weight they
+    add to any n with n % _PERIOD == i. Read-only; the last one is kept."""
+    global _pattern_slot
+    key = (w.dtype.str, tuple(ds), tuple(w[ds].tolist()))
+    slot = _pattern_slot
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    pattern = np.zeros(_PERIOD, dtype=w.dtype)
+    for d in ds:
+        pattern[::d] += w[d]
+    pattern.flags.writeable = False
+    _pattern_slot = (key, pattern)
+    return pattern
 
 
 def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray) -> np.ndarray:
     """S(n) for every n in [lo, hi]: each d with d^k <= hi contributes
-    weight(d) to its multiples n >= d^k."""
+    weight(d) to its multiples n >= d^k.
+
+    On int32 and int64 weights a window of at least _PERIOD / 8 n starts
+    from the periodic pattern of the d that divide _PERIOD and have
+    d^k <= lo: each of them adds w[d] to every multiple in the window, and
+    d divides n exactly when it divides n % _PERIOD. The strided loop adds
+    the other d. Integer sums do not depend on the order of the adds, so S
+    is the same; float64 sums do, and float64 and object weights take the
+    loop alone, in ascending d. Below _PERIOD / 8 n, copying even a
+    resident pattern saves nothing over the loop (0.19 ms either way at
+    the top of [1, 10^8]), and building one costs about 0.6 ms.
+    """
     length = hi - lo + 1
-    S = np.zeros(length, dtype=w.dtype)
+    periodic: list[int] = []
+    if w.dtype.kind == "i" and length >= _PERIOD // 8:
+        root = integer_kth_root(lo, cfg.k)
+        periodic = [d for d in _PERIOD_DIVISORS if d <= root]
+    if periodic:
+        pattern = _period_pattern(periodic, w)
+        S = np.empty(length, dtype=w.dtype)
+        off, i = lo % _PERIOD, 0
+        while i < length:
+            m = min(_PERIOD - off, length - i)
+            S[i : i + m] = pattern[off : off + m]
+            i, off = i + m, 0
+    else:
+        S = np.zeros(length, dtype=w.dtype)
+    skip = set(periodic)
     d = 1
     while d**cfg.k <= hi:
-        first = max(lo, d**cfg.k)
-        start = ((first + d - 1) // d) * d
-        if start <= hi:
-            S[start - lo :: d] += w[d]
+        if d not in skip:
+            first = max(lo, d**cfg.k)
+            start = ((first + d - 1) // d) * d
+            if start <= hi:
+                S[start - lo :: d] += w[d]
         d += 1
     return S
 

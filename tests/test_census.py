@@ -48,6 +48,7 @@ def _check_tau_segment(lo: int, hi: int) -> None:
         want_sqfree.append(all(a == 1 for _, a in f.factors))
     for primes in (_scan_primes(isqrt(hi)), _scan_primes(4 * isqrt(hi) + 100)):
         t, sq = _tau_segment(lo, hi, primes)
+        assert t.dtype == _tau_dtypes(hi)[0]  # nothing promoted tau
         assert t.tolist() == want_tau
         assert sq.tolist() == want_sqfree
 
@@ -63,6 +64,41 @@ _TAU_EDGE_WINDOWS = (
     # windows that end where _tau_dtypes widens tau (2^28) or prod (2^31)
     + [(2**b - 300, 2**b - e) for b in (28, 31) for e in (1, 0)]
 )
+
+
+def _harvest_reference(lo: int, hi: int, k: int, w: np.ndarray) -> np.ndarray:
+    """S on [lo, hi] by one strided add per d, in ascending d."""
+    S = np.zeros(hi - lo + 1, dtype=w.dtype)
+    d = 1
+    while d**k <= hi:
+        start = -(-max(lo, d**k) // d) * d
+        if start <= hi:
+            S[start - lo :: d] += w[d]
+        d += 1
+    return S
+
+
+_P = census._PERIOD
+_MP = 331 * _P  # 50,047,200, a multiple of the period inside [1, 10^8]
+_HARVEST_WINDOWS = [
+    # windows that contain or straddle d^4 for d = 96 and d = 100, which
+    # divide the period
+    (96**4 - 5000, 96**4 + 200_000),
+    (96**4, 96**4 + 2**20 - 1),
+    (96**4 + 1, 96**4 + _P),
+    (100**4 - 2**20 + 1, 100**4),
+    (100**4 - 10, 100**4 + 200_000),
+    # lo % period is period - 1, 0 and 1; lengths above, at and below it
+    *[(_MP + e, _MP + e + n - 1) for e in (-1, 0, 1) for n in (2**20, _P, _P + 2)],
+    # windows shorter than the cut-off, at it, and starting near 1
+    (_MP + 1, _MP + 1),
+    (_MP - 50, _MP + 50),
+    (_MP - 7, _MP - 8 + _P // 8 - 1),
+    (_MP - 7, _MP - 8 + _P // 8),
+    (1, 2**20),
+    (15, 15 + _P),
+    (16, 16 + _P),
+]
 
 
 # The largest integer constant C with C * (sum of the weights) < 2^31 for
@@ -219,6 +255,38 @@ class TestSegmentKernels:
         s = _harvest_segment(1, 10**4, cfg, w)
         for n in range(1, 10**4 + 1):
             assert s[n - 1] == oracle_weight_sum(n), n
+
+    @pytest.mark.parametrize(
+        "k, eta, constant, dtype",
+        [
+            (4, 7, Fraction(8), np.int32),
+            (4, 3, Fraction(8), np.int32),  # other weights, same dtype
+            (4, 7, Fraction(2**20), np.int64),  # a large C forces int64
+            (3, 7, Fraction(8), np.int64),
+        ],
+    )
+    def test_periodic_harvest_matches_reference(self, k, eta, constant, dtype):
+        cfg = CensusConfig(n_max=10**8, k=k, eta=eta, constant=constant)
+        w = _weight_table(cfg)
+        assert w.dtype == dtype
+        for lo, hi in _HARVEST_WINDOWS:
+            got = _harvest_segment(lo, hi, cfg, w)
+            assert got.dtype == w.dtype
+            assert np.array_equal(got, _harvest_reference(lo, hi, k, w)), (lo, hi)
+        # the last long window took the pattern, keyed by its divisors
+        assert census._pattern_slot[0][1][-1] == max(
+            d for d in census._PERIOD_DIVISORS if d**k <= 16
+        )
+
+    def test_float_harvest_is_bit_identical(self):
+        # float sums depend on the order of the adds; S must keep the
+        # ascending one bit for bit on the top window of [1, 10^8]
+        cfg = CensusConfig(n_max=10**8, eta=7.5)
+        w = _weight_table(cfg)
+        assert w.dtype == np.float64
+        lo, hi = 10**8 - 2**20 + 1, 10**8
+        got = _harvest_segment(lo, hi, cfg, w)
+        assert got.tobytes() == _harvest_reference(lo, hi, 4, w).tobytes()
 
     def test_harvest_respects_segment_boundaries(self):
         cfg = CensusConfig(n_max=10**4)
