@@ -50,8 +50,6 @@ _MR_TIERS = (
     (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
-_SMALL_PRIME_LIMIT = 1 << 20
-
 # _factor_int trial-divides a cofactor below 2^64 only by the primes up to
 # _TRIAL_LIMIT; Brent's rho splits what is left. _RHO_BATCH differences
 # share one gcd.
@@ -92,7 +90,7 @@ def sieve_primes(limit: int) -> list[int]:
 @cache
 def _primes_cache() -> list[int]:
     # trial division walks a Python list: far faster than int64 scalars
-    return sieve_primes(_SMALL_PRIME_LIMIT)
+    return sieve_primes(_TRIAL_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -186,12 +184,12 @@ class Factorization:
 def _factor_int(n: int) -> list[tuple[int, int]]:
     factors: list[tuple[int, int]] = []
     m = n
-    for p in chain(_primes_cache(), count(_SMALL_PRIME_LIMIT + 1, 2)):
+    for p in chain(_primes_cache(), count(_TRIAL_LIMIT + 1, 2)):
         if p * p > m:
             break
         if p > _TRIAL_LIMIT and m < 1 << 64:
             # every prime factor of m exceeds the trial limit. At or above
-            # 2^64 trial division goes on: is_prime is exact only below.
+            # 2^64 trial by odd p goes on: is_prime is exact only below.
             primes = _prime_divisors(m)
             return factors + [(q, primes.count(q)) for q in sorted(set(primes))]
         if m % p == 0:

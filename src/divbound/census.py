@@ -2,11 +2,9 @@
 
 Scans n in [1, n_max] and compares tau(n) against C * S(n), where S(n)
 sums a divisor weight over the divisors d | n with d^k <= n. The scan is
-segmented, and each segment is compared in windows: _WINDOW n at a time
-for int32, int64 and float64 weight sums, _WIDE_CHUNK n at a time for
-sums that overflow int64 and are held as Python ints. In a window tau
-comes from a strided sieve over prime powers p^j <= hi, which updates tau
-in place on the basic slice of multiples of each p^j, and S from
+segmented, and each segment is compared _WINDOW n at a time. In a window
+tau comes from a strided sieve over prime powers p^j <= hi, which updates
+tau in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
 The d that divide _PERIOD = 151200 and have d^k <= lo add to S a pattern
 of period _PERIOD in n, built once and copied into every window that
@@ -14,13 +12,18 @@ needs it; the others are added one strided slice per d. Only integer S
 takes the pattern: integer sums do not depend on the order of the adds,
 and float64 sums keep the ascending order of d bit for bit.
 
+On the exact path the weights are clamped and C is replaced by a stand-in
+c that orders every tau / S as C does (see _weight_table), so S is int32
+or int64; clamping lowers only ratios below 1, and S(1) = 1.
+
 The integer arrays are as narrow as a proven bound allows. Each value the
 sieve gives tau is the tau of a divisor of some n <= hi, and divisors
 pair up around sqrt(n), so it is at most 2 sqrt(hi): int16 below 2^28,
 int32 below 2^60. The product of the sieved prime powers divides n, so
 it fits int32 below 2^31. S takes the weight table's dtype: int32 when
-C's numerator times the sum of all weights and C's denominator times
-2 sqrt(n_max) stay below 2^31. tau is widened to it before the compare.
+c's numerator times the sum of the clamped weights and c's denominator
+times 2 sqrt(n_max) stay below 2^31. tau is widened to it only to be
+multiplied by c's denominator.
 
 The exact maximum ratio is taken over the distinct (tau, S) pairs of the
 candidates, not over every candidate. Counters merge order-independently,
@@ -67,22 +70,13 @@ __all__ = [
 
 FLOAT_REL_TOL = 1e-9  # comparison tolerance on the non-integer-eta path
 
-_INT64_SAFE = 1 << 62
-
-# Segments with Python-int (object) weights are compared this many n at a
-# time, because whole-segment object arrays cost memory: one run of
-# `verify --max 5*10^5 --eta 40 --threads 2` (one segment) peaked at
-# 38.6 MB RSS with 2^12, 40.8 MB with 2^14 and 48.7 MB with 2^16, against
-# 38.3 MB for the per-n factorizing scan that this replaced.
-_WIDE_CHUNK = 1 << 12
-
-# Segments with fixed-width weights are compared this many n at a
-# time, which bounds the numpy temporaries of a segment: tracemalloc peaks
-# at 20 MB for a 2^22 segment at the top of [1, 10^8], against 176 MB for
-# whole-segment int64 arrays. With two threads scanning such segments side by side, windows
-# of 2^19, 2^20 and 2^21 took 194-240 ms per segment, too close to rank,
-# and 2^18 and whole 2^22 segments 217-274 ms (two runs each, 2-core
-# Xeon); 2^20 is the middle of the flat range.
+# Segments are compared this many n at a time, which bounds the numpy
+# temporaries of a segment: tracemalloc peaks at 20 MB for a 2^22 segment
+# at the top of [1, 10^8], against 176 MB for whole-segment int64 arrays.
+# With two threads scanning such segments side by side, windows of 2^19,
+# 2^20 and 2^21 took 194-240 ms per segment, too close to rank, and 2^18
+# and whole 2^22 segments 217-274 ms (two runs each, 2-core Xeon); 2^20 is
+# the middle of the flat range.
 _WINDOW = 1 << 20
 
 
@@ -243,30 +237,46 @@ def divisor_weight_sum(n: int, cfg: CensusConfig) -> int | float:
     return sum(_weight(d, cfg) for d in small)  # d = 1 makes a float sum float
 
 
-def _weight_table(cfg: CensusConfig) -> np.ndarray:
-    """Per-d weights for d up to floor(n_max^(1/k)).
+def _weight_table(cfg: CensusConfig) -> tuple[np.ndarray, Fraction | None]:
+    """Per-d weights for d up to floor(n_max^(1/k)), and the constant c
+    that the exact compare uses in place of C (None on the float path).
 
-    On the exact path the table takes the narrowest dtype that holds both
-    products of the compare: numerator * S(n) <= numerator * (sum of the
-    weights), and denominator * tau(n) <= denominator * 2 isqrt(n_max).
-    That is int32 when the larger is below 2^31, int64 below 2^62, and
-    otherwise Python ints (object dtype), which the scan compares in
-    windows of _WIDE_CHUNK n.
+    t = 2 isqrt(n_max) bounds tau, so each S / tau is a fraction of
+    denominator at most t. Let x = 1 / C and y = x.limit_denominator(t);
+    c = C if y = x. Else y is the closest such fraction to x and ends the
+    open cell between them that holds x, a cell longer than
+    1 / (y.denominator * t); 1 / c = y +- 1 / (y.denominator * (t + 1)),
+    toward x, lies in it, so c orders every tau / S as C does. If
+    C * (sum of the weights) < 1, every n is a violation; weights clamped
+    at t + 1 and c = 1 / (their sum + 1) keep that. The weights are then
+    clamped at cap = max(t, t / c) + 1: an S that changes stays >= cap >
+    t / c, so its n is no violation or equality under c or C, and its
+    ratio stays below 1. The dtype holds c's numerator times the clamped
+    sum and c's denominator times t: int32 below 2^31, int64 below 2^62,
+    else ValueError (a C far below 1 with huge weights).
     """
     d_max = integer_kth_root(cfg.n_max, cfg.k)
     weights = [0] + [_weight(d, cfg) for d in range(1, d_max + 1)]
     if not cfg.exact:
-        return np.array(weights, dtype=np.float64)
-    total = sum(weights)
-    bound = max(
-        cfg.constant.numerator * total,
-        cfg.constant.denominator * 2 * isqrt(cfg.n_max) + 1,
-    )
-    if bound < 1 << 31:
-        return np.array(weights, dtype=np.int32)
-    if bound < _INT64_SAFE and max(weights) < _INT64_SAFE:
-        return np.array(weights, dtype=np.int64)
-    return np.array(weights, dtype=object)
+        return np.array(weights, dtype=np.float64), None
+    t = 2 * isqrt(cfg.n_max)
+    c = cfg.constant
+    if c * sum(weights) < 1:
+        weights = [min(v, t + 1) for v in weights]
+        c = 1 / Fraction(sum(weights) + 1)
+    else:
+        x = 1 / c
+        y = x.limit_denominator(t)
+        if y != x:
+            step = Fraction(1, y.denominator * (t + 1))
+            c = 1 / (y + step if x > y else y - step)
+    cap = max(t, c.denominator * t // c.numerator) + 1
+    weights = [min(v, cap) for v in weights]
+    bound = max(c.numerator * sum(weights), c.denominator * t + 1)
+    if bound >= 1 << 62:
+        raise ValueError(f"constant {cfg.constant} is too small for these weights: "
+                         f"exact sums would need {bound.bit_length()} bits")
+    return np.array(weights, dtype=np.int32 if bound < 1 << 31 else np.int64), c
 
 
 # ----------------------------------------------------------------------
@@ -379,10 +389,10 @@ def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray) -> np.n
     d^k <= lo: each of them adds w[d] to every multiple in the window, and
     d divides n exactly when it divides n % _PERIOD. The strided loop adds
     the other d. Integer sums do not depend on the order of the adds, so S
-    is the same; float64 sums do, and float64 and object weights take the
-    loop alone, in ascending d. Below _PERIOD / 8 n, copying even a
-    resident pattern saves nothing over the loop (0.19 ms either way at
-    the top of [1, 10^8]), and building one costs about 0.6 ms.
+    is the same; float64 sums do, and float64 weights take the loop alone,
+    in ascending d. Below _PERIOD / 8 n, copying even a resident pattern
+    saves nothing over the loop (0.19 ms either way at the top of
+    [1, 10^8]), and building one costs about 0.6 ms.
     """
     length = hi - lo + 1
     periodic: list[int] = []
@@ -454,29 +464,30 @@ def _merge(
 def _scan_segment(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray, collect: bool
 ) -> _SegmentResult:
-    if w.dtype == object:
-        return _scan_segment_python(lo, hi, cfg, w, primes, collect)
-    return _scan_windows(lo, hi, cfg, w, primes, collect, _WINDOW)
+    """[lo, hi] compared _WINDOW n at a time, merged into one result.
+    Clamped weights lower only ratios below 1; a best ratio below 1 (no
+    prime in a tiny segment) is redone n by n, so records keep exact S."""
+    res = _merge(lo, hi, [
+        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, primes, collect)
+        for a in range(lo, hi + 1, _WINDOW)
+    ], collect)
+    if cfg.exact and res.max_num < res.max_den:
+        res.max_num, res.max_den, res.argmax_n = _scan_segment_python(lo, hi, cfg)
+    return res
 
 
-def _scan_segment_python(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray, collect: bool
-) -> _SegmentResult:
-    """A segment whose weights overflow int64, compared _WIDE_CHUNK n at a
-    time so that its object arrays stay small."""
-    return _scan_windows(lo, hi, cfg, w, primes, collect, _WIDE_CHUNK)
-
-
-def _scan_windows(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray,
-    collect: bool, window: int,
-) -> _SegmentResult:
-    """[lo, hi] compared window n at a time, merged into one result."""
-    results = [
-        _compare_window(a, min(a + window - 1, hi), cfg, w, primes, collect)
-        for a in range(lo, hi + 1, window)
-    ]
-    return _merge(lo, hi, results, collect)
+def _scan_segment_python(lo: int, hi: int, cfg: CensusConfig) -> tuple[int, int, int]:
+    """(tau, S, n) of the largest exact ratio on [lo, hi], n by n; ties go
+    to the smallest n, and with no eligible n (0, 1, -1) stays."""
+    best = (0, 1, -1)
+    for n in range(lo, hi + 1):
+        f = factorize(n)
+        if cfg.squarefree_only and any(a > 1 for a in f.exponents):
+            continue
+        cand = (tau(f), divisor_weight_sum(n, cfg), n)
+        if _ratio_greater(*cand, *best):
+            best = cand
+    return best
 
 
 def _exact_argmax(
@@ -485,21 +496,17 @@ def _exact_argmax(
     """(tau, S, n) of the largest exact ratio tau / S among the ascending
     indices cand, the n of index i being lo + i; ties go to the smallest n.
 
-    On numeric arrays only the distinct (tau, S) pairs are compared, each
-    at its first index: a pair's later copies would lose the tie. At the
-    top of [1, 10^8] nearly every candidate is an equality case with the
-    pair (8, 1), so this replaces a Python loop over thousands of
-    candidates per window by one over a handful.
+    Only the distinct (tau, S) pairs are compared, each at its first
+    index: a pair's later copies would lose the tie. At the top of
+    [1, 10^8] nearly every candidate is an equality case with the pair
+    (8, 1), so this replaces a Python loop over thousands of candidates
+    per window by one over a handful.
     """
-    if S.dtype == object:
-        nums, dens, firsts = tau[cand], S[cand], cand
-    else:
-        pairs, at = np.unique(
-            np.stack((tau[cand], S[cand]), axis=1), axis=0, return_index=True
-        )
-        nums, dens, firsts = pairs[:, 0], pairs[:, 1], cand[at]
+    pairs, at = np.unique(
+        np.stack((tau[cand], S[cand]), axis=1), axis=0, return_index=True
+    )
     best = (0, 1, -1)
-    for num, den, i in zip(nums.tolist(), dens.tolist(), firsts.tolist()):
+    for num, den, i in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), cand[at].tolist()):
         if _ratio_greater(num, den, lo + i, *best):
             best = (num, den, lo + i)
     return best
@@ -508,20 +515,17 @@ def _exact_argmax(
 def _compare_window(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray, collect: bool
 ) -> _SegmentResult:
-    """tau(n) against constant * S(n) for every n in [lo, hi]. S takes the
-    dtype of w (int32, int64, float64 or object), which _weight_table chose
-    to hold both products of the compare. tau comes from the sieve as
-    narrow as hi allows and is widened to that dtype before any product,
-    ratio or compare, so no product overflows; with object weights every
-    product is a Python int."""
+    """tau(n) against constant * S(n) for every n in [lo, hi], S in the dtype
+    _weight_table chose for w. The sieve's narrow tau is widened to it only
+    to be multiplied by the constant's denominator; numpy compares and
+    divides mixed dtypes exactly."""
     tau, sqfree = _tau_segment(lo, hi, primes)
     S = _harvest_segment(lo, hi, cfg, w)
-    tau = tau.astype(S.dtype, copy=False)  # drops the narrow copy
     cn, cd = cfg.constant.numerator, cfg.constant.denominator
 
     # the products are freed before the ratio array is allocated
     if cfg.exact:
-        lhs = tau if cd == 1 else cd * tau
+        lhs = tau if cd == 1 else cd * tau.astype(S.dtype)
         rhs = cn * S
         viol_mask = lhs > rhs
         eq_mask = lhs == rhs
@@ -540,10 +544,13 @@ def _compare_window(
     violations = int(np.count_nonzero(viol_mask))
     equalities = int(np.count_nonzero(eq_mask))
     equality_ns = (np.flatnonzero(eq_mask) + lo).tolist() if collect else None
+    del viol_mask, eq_mask
 
-    ratio = (tau / S).astype(np.float64, copy=False)
+    # exact path: float32 ratios within 1e-5 of the peak (float32 errs by
+    # about 1e-7) only pick candidates; the float path reports float64
+    ratio = np.divide(tau, S, dtype=np.float32) if cfg.exact else tau / S
     if cfg.squarefree_only:
-        ratio = np.where(sqfree, ratio, -np.inf)
+        ratio[~sqfree] = -np.inf
     peak = float(ratio.max())
     # With nothing eligible in the window, the (0, 1, -1) start stays: it
     # loses every merge (n = 1 is always eligible, so no report keeps it).
@@ -551,8 +558,7 @@ def _compare_window(
     if peak == float("-inf"):
         pass
     elif cfg.exact:
-        # float ratios only pick candidates; the exact compare decides
-        cand = np.flatnonzero(ratio >= peak * (1.0 - 1e-12))
+        cand = np.flatnonzero(ratio >= peak * (1.0 - 1e-5))
         best_num, best_den, best_n = _exact_argmax(tau, S, cand, lo)
     else:
         i = int(np.argmax(ratio))  # argmax returns the first (smallest n) peak
@@ -566,11 +572,9 @@ def _compare_window(
 # checkpointing
 
 _CHECKPOINT_MAGIC = "divbound-checkpoint"
-# Version 2 records carry "digest", the sha256 of the record's canonical
-# JSON without that key. Version-1 files (no digests) still resume, and
-# keep getting version-1 records appended.
+# Records carry "digest", the sha256 of the record's canonical JSON
+# without that key. Version-1 files had none, so they are refused.
 _CHECKPOINT_VERSION = 2
-_CHECKPOINT_VERSIONS = (1, 2)
 
 
 def _record_digest(rec: dict) -> str:
@@ -586,7 +590,6 @@ class _Checkpoint:
         self.done: dict[tuple[int, int], _SegmentResult] = {}
         self._fh = None
         self._valid_bytes = 0
-        self.version = _CHECKPOINT_VERSION
 
     def load(self) -> None:
         if not os.path.exists(self.path):
@@ -609,25 +612,23 @@ class _Checkpoint:
             header = json.loads(body[0])
         except ValueError:  # also catches bytes that are not UTF-8
             raise CheckpointError(f"corrupt checkpoint header in {self.path}")
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != _CHECKPOINT_MAGIC
-            or header.get("version") not in _CHECKPOINT_VERSIONS
-        ):
+        if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_MAGIC:
             raise CheckpointError(f"unrecognized checkpoint format in {self.path}")
+        if header.get("version") != _CHECKPOINT_VERSION:
+            raise CheckpointError(f"checkpoint {self.path} is version "
+                                  f"{header.get('version')}; delete it and rescan")
         if header.get("config_hash") != self.cfg.digest():
             raise CheckpointError(
                 "checkpoint was written for a different configuration"
             )
-        self.version = header["version"]
         for line in body[1:]:
             try:
                 rec = json.loads(line)
-                digest = rec.pop("digest", None) if self.version >= 2 else None
+                digest = rec.pop("digest", None)
                 res = _SegmentResult(**rec)
             except (ValueError, TypeError, AttributeError):
                 raise CheckpointError(f"corrupt checkpoint record in {self.path}")
-            if self.version >= 2 and digest != _record_digest(rec):
+            if digest != _record_digest(rec):
                 raise CheckpointError(
                     f"checkpoint record digest mismatch in {self.path}"
                 )
@@ -659,8 +660,7 @@ class _Checkpoint:
                 rec = asdict(res)
                 if res.equality_ns is None:
                     del rec["equality_ns"]
-                if self.version >= 2:
-                    rec["digest"] = _record_digest(rec)
+                rec["digest"] = _record_digest(rec)
                 self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 self._flush()
 
@@ -705,7 +705,9 @@ def verify_range(
     Raises ScanInterrupted after checkpointing when stop_event is set.
     """
     t0 = time.monotonic()
-    w = _weight_table(cfg)
+    w, c = _weight_table(cfg)
+    # the kernels compare with c; the report and the checkpoint keep cfg
+    scan_cfg = cfg if c is None else replace(cfg, constant=c)
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
     segments = _segments(cfg)
 
@@ -730,7 +732,7 @@ def verify_range(
         # check into the results.
         check_stop()
         lo, hi = seg
-        res = _scan_segment(lo, hi, cfg, w, primes, collect_equalities)
+        res = _scan_segment(lo, hi, scan_cfg, w, primes, collect_equalities)
         if ckpt is not None:
             ckpt.record(res)
         return res

@@ -23,7 +23,7 @@ from divbound.arith import Factorization, factorize, spf_sieve_segment, tau
 from divbound.census import (
     CensusConfig,
     _harvest_segment,
-    _weight_table,
+    _weight,
     equality_census,
     verify_range,
 )
@@ -181,9 +181,10 @@ def test_criterion_7_obstruction_bound():
 
 
 def test_criterion_8a_harvest_vs_direct_enumeration():
+    # the scan clamps its weights (census._weight_table); the harvest is
+    # checked on the unclamped weight(d), d^4 <= 10^4
     cfg = CensusConfig(n_max=10**4)
-    w = _weight_table(cfg)
-    assert w.dtype == np.int32
+    w = np.array([0] + [_weight(d, cfg) for d in range(1, 11)], dtype=np.int32)
     harvested = _harvest_segment(1, 10**4, cfg, w)
     for n in range(1, 10**4 + 1):
         assert harvested[n - 1] == oracle_weight_sum(n), n

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divbound import census
-from divbound.arith import factorize, omega, tau
+from divbound.arith import factorize, integer_kth_root, omega, tau
 from divbound.census import (
     CensusConfig,
     CheckpointError,
@@ -101,10 +104,46 @@ _HARVEST_WINDOWS = [
 ]
 
 
-# The largest integer constant C with C * (sum of the weights) < 2^31 for
-# 10^4 <= n_max < 11^4, the last whose weight table is int32. The sum is tau(d)^7
-# over d <= 10: d = 1, the primes 2, 3, 5, 7, then 4, 9, then 6, 8, 10.
-_INT32_EDGE = (2**31 - 1) // (1 + 2**7 * 4 + 3**7 * 2 + 4**7 * 3)
+def _unclamped_table(cfg: CensusConfig, dtype) -> np.ndarray:
+    """weight(d) for every d^k <= n_max, as _weight_table has it before
+    clamping: what the harvest must add up to the oracle's S."""
+    d_max = integer_kth_root(cfg.n_max, cfg.k)
+    return np.array([0] + [census._weight(d, cfg) for d in range(1, d_max + 1)],
+                    dtype=dtype)
+
+
+def _oracle_weight(d: int, cfg: CensusConfig) -> int:
+    t = oracle_tau(d)
+    if cfg.weight == "landreau":
+        return (2 ** len(oracle_factor(d)) * t) ** cfg.k
+    return t**cfg.eta
+
+
+def _oracle_row(n: int, cfg: CensusConfig) -> tuple[int, int, bool]:
+    """(tau(n), S(n), n squarefree) by plain divisor counting, for an exact
+    config."""
+    s = sum(_oracle_weight(d, cfg) for d in oracle_divisors(n) if d**cfg.k <= n)
+    return oracle_tau(n), s, all(a == 1 for _, a in oracle_factor(n))
+
+
+def _oracle_segment(lo: int, hi: int, cfg: CensusConfig, rows: list) -> dict:
+    """The checkpoint record of [lo, hi], without its digest, from oracle
+    rows (rows[n - 1] for n): counts, equality list and the (tau, S, n) of
+    the largest ratio, the first n on a tie, (0, 1, -1) with no n eligible."""
+    cn, cd = cfg.constant.numerator, cfg.constant.denominator
+    rec = dict(lo=lo, hi=hi, violations=0, equalities=0, equality_ns=[],
+               max_num=0, max_den=1, argmax_n=-1)
+    for n in range(lo, hi + 1):
+        t, s, sqfree = rows[n - 1]
+        if cfg.squarefree_only and not sqfree:
+            continue
+        rec["violations"] += cd * t > cn * s
+        if cd * t == cn * s:
+            rec["equalities"] += 1
+            rec["equality_ns"].append(n)
+        if rec["argmax_n"] == -1 or t * rec["max_den"] > rec["max_num"] * s:
+            rec.update(max_num=t, max_den=s, argmax_n=n)
+    return rec
 
 
 def brute_report(
@@ -151,6 +190,42 @@ def brute_report(
     if exact:
         return violations, equalities, Fraction(best[0], best[1]), best[2]
     return violations, equalities, best[0] / best[1], best[2]
+
+
+@st.composite
+def _exact_configs(draw) -> CensusConfig:
+    """An exact config on at most 600 n, segments of 1 to 64 n, and a
+    constant from one of five families: a long decimal, one near or above
+    t = 2 isqrt(n_max), one below 1 / (sum of the weights), one near the
+    ratio 8, and a small fraction."""
+    n_max = draw(st.integers(1, 600))
+    cfg = CensusConfig(
+        n_max=n_max,
+        k=draw(st.sampled_from([2, 3, 4])),
+        eta=draw(st.integers(0, 40)),
+        weight=draw(st.sampled_from(["tau_power", "tau_power", "landreau"])),
+        squarefree_only=draw(st.booleans()),
+        segment_size=draw(st.integers(1, 64)),
+    )
+    t = 2 * isqrt(n_max)
+    kind = draw(st.sampled_from(["decimal", "above-t", "below-sum", "near-8", "small"]))
+    if kind == "decimal":
+        digits = draw(st.integers(15, 25))
+        constant = Fraction(draw(st.integers(10 ** (digits - 2), 10 ** (digits + 3))),
+                            10**digits)
+    elif kind == "above-t":
+        constant = Fraction(draw(st.integers(t - 1, t + 2) | st.integers(t, 10**30)))
+    elif kind == "below-sum":
+        total = sum(_oracle_weight(d, cfg)
+                    for d in range(1, integer_kth_root(n_max, cfg.k) + 1))
+        constant = Fraction(1, total * draw(st.integers(1, 10**6))
+                            + draw(st.integers(1, 1000)))
+    elif kind == "near-8":
+        q = draw(st.integers(1, 10**25))
+        constant = Fraction(8 * q + draw(st.integers(-3, 3)), q)
+    else:
+        constant = Fraction(draw(st.integers(1, 1000)), draw(st.integers(1, 1000)))
+    return replace(cfg, constant=constant)
 
 
 class TestConfig:
@@ -250,9 +325,7 @@ class TestSegmentKernels:
 
     def test_harvest_equals_direct_enumeration(self):
         cfg = CensusConfig(n_max=10**4)
-        w = _weight_table(cfg)
-        assert w.dtype == np.int32
-        s = _harvest_segment(1, 10**4, cfg, w)
+        s = _harvest_segment(1, 10**4, cfg, _unclamped_table(cfg, np.int32))
         for n in range(1, 10**4 + 1):
             assert s[n - 1] == oracle_weight_sum(n), n
 
@@ -262,12 +335,12 @@ class TestSegmentKernels:
             (4, 7, Fraction(8), np.int32),
             (4, 3, Fraction(8), np.int32),  # other weights, same dtype
             (4, 7, Fraction(2**20), np.int64),  # a large C forces int64
-            (3, 7, Fraction(8), np.int64),
+            (3, 7, Fraction(8), np.int32),  # 464 d, weights clamped at 20001
         ],
     )
     def test_periodic_harvest_matches_reference(self, k, eta, constant, dtype):
         cfg = CensusConfig(n_max=10**8, k=k, eta=eta, constant=constant)
-        w = _weight_table(cfg)
+        w, _ = _weight_table(cfg)
         assert w.dtype == dtype
         for lo, hi in _HARVEST_WINDOWS:
             got = _harvest_segment(lo, hi, cfg, w)
@@ -282,21 +355,54 @@ class TestSegmentKernels:
         # float sums depend on the order of the adds; S must keep the
         # ascending one bit for bit on the top window of [1, 10^8]
         cfg = CensusConfig(n_max=10**8, eta=7.5)
-        w = _weight_table(cfg)
-        assert w.dtype == np.float64
+        w, c = _weight_table(cfg)
+        assert w.dtype == np.float64 and c is None
         lo, hi = 10**8 - 2**20 + 1, 10**8
         got = _harvest_segment(lo, hi, cfg, w)
         assert got.tobytes() == _harvest_reference(lo, hi, 4, w).tobytes()
 
     def test_harvest_respects_segment_boundaries(self):
         cfg = CensusConfig(n_max=10**4)
-        w = _weight_table(cfg)
+        w, _ = _weight_table(cfg)
         whole = _harvest_segment(1, 10**4, cfg, w)
         pieces = np.concatenate(
             [_harvest_segment(lo, min(lo + 999, 10**4), cfg, w)
              for lo in range(1, 10**4, 1000)]
         )
         assert np.array_equal(whole, pieces)
+
+    # C = 8 and 1 with cap = t + 1 = 109, eta 40 and k = 2, landreau; C
+    # below 1 / (sum of the weights), C above t, and a C = 8 + 10^-20 that
+    # the stand-in c = 8 * 109 / 108 replaces
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(), dict(constant=Fraction(1)), dict(eta=40), dict(k=2, eta=3),
+         dict(weight="landreau"), dict(constant=Fraction(1, 10**8)),
+         dict(constant=Fraction(10**30)),
+         dict(constant=Fraction(8 * 10**20 + 1, 10**20))],
+        ids=["default", "c1", "eta40", "k2", "landreau", "below-sum", "above-t",
+             "stand-in"],
+    )
+    def test_clamped_table_keeps_every_compare(self, kwargs):
+        # against the oracle's unclamped S: the clamped S is at most S, where
+        # it is lower the ratio tau / S stays below 1, and every n compares
+        # with c and the clamped S as it does with C and S
+        cfg = CensusConfig(n_max=3000, **kwargs)
+        w, c = _weight_table(cfg)
+        assert w.dtype == np.int32
+        got = _harvest_segment(1, cfg.n_max, cfg, w).tolist()
+        C, clamped = cfg.constant, 0
+        for n in range(1, cfg.n_max + 1):
+            t, s, _ = _oracle_row(n, cfg)
+            g = got[n - 1]
+            assert g <= s, n
+            if g < s:
+                clamped += 1
+                assert t < g, n
+            want = (t * C.denominator > C.numerator * s) - (t * C.denominator < C.numerator * s)
+            assert (t * c.denominator > c.numerator * g) - (
+                t * c.denominator < c.numerator * g) == want, n
+        assert clamped > 0
 
 
 class TestVerifyRange:
@@ -338,23 +444,24 @@ class TestVerifyRange:
         assert (report.violations, report.equalities) == (v, e)
 
     # Each config compares an int16 tau against S. cd * tau passes 2^15
-    # for the denominator 1000 and 2^31 for 10^8 and 10^10. Just above and
-    # just below 8, the ratio-8 cases flip between equality and violation;
-    # at 1/den every n is a violation, so a wrapped cd * tau would drop
-    # some. The integer constants put cn * (sum of the weights) just below
-    # and at 2^31, the edge between int32 and int64 tables; S reaches that
-    # sum at n = 10080, the first n >= 10^4 that every d <= 10 divides, so
-    # a wrapped cn * S would count a violation there. The float, landreau
-    # and squarefree paths read tau too.
+    # for the denominator 1000, and c's denominator 101 or 25 stands in for
+    # 10^8 and 10^10. Just above and just below 8, the ratio-8 cases flip
+    # between equality and violation; at 1/den every n is a violation, so a
+    # wrapped cd * tau would drop some (below 1 / (sum of the weights) at
+    # 10^8 and 10^10, where c = 1/1519). The k = 2 constants put
+    # cd * 2 isqrt(n_max) + 1 at 2^31 - 47 and 2^31 + 153, the edge between
+    # int32 and int64 tables, so cd * tau nearly fills int32 and a wrapped
+    # product would miscount. The float, landreau and squarefree paths read
+    # tau too.
     @pytest.mark.parametrize(
         "kwargs, dtype",
-        [(dict(constant=c), np.int64 if den > 1000 else np.int32)
+        [(dict(constant=c), np.int32)
          for den in (1000, 10**8, 10**10)
          for c in (Fraction(8 * den + 1, den), Fraction(8 * den - 1, den))]
-        + [(dict(constant=Fraction(1, den)), dtype)
-           for den, dtype in ((1000, np.int32), (10**8, np.int64), (10**10, np.int64))]
-        + [(dict(constant=_INT32_EDGE), np.int32),
-           (dict(constant=_INT32_EDGE + 1), np.int64),
+        + [(dict(constant=Fraction(1, den)), np.int32)
+           for den in (1000, 10**8, 10**10)]
+        + [(dict(k=2, constant=Fraction(1, 10737418)), np.int32),
+           (dict(k=2, constant=Fraction(1, 10737419)), np.int64),
            (dict(eta=6.5), np.float64),
            (dict(weight="landreau"), np.int32),
            (dict(squarefree_only=True), np.int32)],
@@ -364,12 +471,18 @@ class TestVerifyRange:
     )
     def test_narrow_tau_is_widened_before_the_compare(self, kwargs, dtype):
         cfg = CensusConfig(n_max=10080, **kwargs)
-        assert _weight_table(cfg).dtype == dtype
+        assert _weight_table(cfg)[0].dtype == dtype
         report = verify_range(cfg)
-        v, e, ratio, argmax = brute_report(
-            cfg.n_max, cfg.constant, eta=cfg.eta, weight=cfg.weight,
-            squarefree_only=cfg.squarefree_only,
-        )
+        if cfg.exact:
+            rows = [_oracle_row(n, cfg) for n in range(1, cfg.n_max + 1)]
+            rec = _oracle_segment(1, cfg.n_max, cfg, rows)
+            v, e = rec["violations"], rec["equalities"]
+            ratio, argmax = Fraction(rec["max_num"], rec["max_den"]), rec["argmax_n"]
+        else:
+            v, e, ratio, argmax = brute_report(
+                cfg.n_max, cfg.constant, eta=cfg.eta, weight=cfg.weight,
+                squarefree_only=cfg.squarefree_only,
+            )
         assert (report.violations, report.equalities) == (v, e)
         assert report.max_ratio == ratio
         assert report.argmax_n == argmax
@@ -448,9 +561,9 @@ class TestVerifyRange:
         assert payload["arithmetic"] == "float64"
         assert "float_rel_tol" in payload
 
-    # Each config overflows int64, so S is summed in Python ints and
-    # compared census._WIDE_CHUNK (4096) n at a time. n_max = 9000 spans
-    # three windows, and segment_size = 5000 splits the second of them.
+    # In each config C's products with the unclamped sums need more than
+    # int64, which once took a Python-int scan; the clamped table and the
+    # stand-in c make it int32. segment_size = 5000 splits 9000 n in two.
     @pytest.mark.parametrize(
         "kwargs, collect",
         [
@@ -467,7 +580,9 @@ class TestVerifyRange:
     )
     def test_wide_weight_fallback_matches_numpy_path(self, kwargs, collect):
         cfg = CensusConfig(**kwargs)
-        assert _weight_table(cfg).dtype == object
+        C, total = cfg.constant, sum(_unclamped_table(cfg, object).tolist())
+        assert max(C.numerator * total, C.denominator * 2 * isqrt(cfg.n_max)) >= 1 << 62
+        assert _weight_table(cfg)[0].dtype == np.int32
         wide = verify_range(cfg, collect_equalities=collect)
         cn, cd = cfg.constant.numerator, cfg.constant.denominator
         violations, equality_ns, best = 0, [], (0, 1, None)
@@ -490,6 +605,35 @@ class TestVerifyRange:
         assert wide.equality_ns == (equality_ns if collect else None)
         assert wide.max_ratio == Fraction(best[0], best[1])
         assert wide.argmax_n == best[2]
+
+    def test_constant_too_small_for_int64_is_refused(self):
+        # C * S(1) = 10^-20, so n = 1 is a violation, but C * S(n) >= 1 for
+        # some n: an exact answer needs 75-bit sums
+        cfg = CensusConfig(n_max=9000, eta=40, constant=Fraction(1, 10**20))
+        with pytest.raises(ValueError, match="too small"):
+            verify_range(cfg)
+
+    @given(cfg=_exact_configs())
+    @settings(max_examples=80, deadline=None)
+    def test_report_and_records_match_oracle_property(self, cfg):
+        # clamped weights and the stand-in constant against unclamped oracle
+        # sums and the user's C: the report with its equality list, and
+        # every checkpoint record, tiny prime-free segments included
+        rows = [_oracle_row(n, cfg) for n in range(1, cfg.n_max + 1)]
+        want = _oracle_segment(1, cfg.n_max, cfg, rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scan.ckpt")
+            report = verify_range(cfg, checkpoint=path, collect_equalities=True)
+            with open(path) as fh:
+                records = [json.loads(line) for line in fh.read().splitlines()[1:]]
+        assert report.violations == want["violations"]
+        assert report.equality_ns == want["equality_ns"]
+        assert report.max_ratio == Fraction(want["max_num"], want["max_den"])
+        assert report.argmax_n == want["argmax_n"]
+        assert len(records) == -(-cfg.n_max // cfg.segment_size)
+        for rec in records:
+            del rec["digest"]
+            assert rec == _oracle_segment(rec["lo"], rec["hi"], cfg, rows)
 
 
 class TestWindows:
@@ -534,9 +678,11 @@ class TestWindows:
             if census._ratio_greater(tau_[i], S[i], lo + i, *best):
                 best = (tau_[i], S[i], lo + i)
         idx = np.array(cand, dtype=np.int64)
-        for dtype in (np.int32, np.int64, object):
+        # tau stays int16 beside int32 sums when C's denominator is 1
+        for tau_dtype, S_dtype in ((np.int16, np.int32), (np.int32, np.int32),
+                                   (np.int64, np.int64)):
             got = census._exact_argmax(
-                np.array(tau_, dtype=dtype), np.array(S, dtype=dtype), idx, lo
+                np.array(tau_, dtype=tau_dtype), np.array(S, dtype=S_dtype), idx, lo
             )
             assert got == best
 
@@ -663,9 +809,8 @@ class TestCheckpointing:
 
     def test_record_bytes_are_stable(self, tmp_path):
         # existing checkpoints must keep resuming: records are sorted-key JSON
-        # and carry equality_ns only when the run collects equalities. A
-        # version-2 record adds "digest", the sha256 of exactly the bytes a
-        # version-1 record holds.
+        # and carry equality_ns only when the run collects equalities, and
+        # "digest", the sha256 of exactly the record's bytes without it.
         cfg = CensusConfig(n_max=2000, segment_size=400)
         plain, listed = tmp_path / "plain.ckpt", tmp_path / "listed.ckpt"
         verify_range(cfg, checkpoint=str(plain))
@@ -684,11 +829,11 @@ class TestCheckpointing:
             )
 
     def test_changed_digit_raises(self, tmp_path):
-        """Every digit of a version-2 checkpoint, header included, is
-        replaced by another digit; each such file must raise
-        CheckpointError instead of resuming into a different report. At
-        version 1, raising "equalities": 2 to 3 resumed to 10 equalities
-        instead of 9."""
+        """Every digit of a checkpoint, header included, is replaced by
+        another digit; each such file must raise CheckpointError instead of
+        resuming into a different report. Version-1 files, which had no
+        digests, are refused for this: raising "equalities": 2 to 3 in one
+        resumed to 10 equalities instead of 9."""
         cfg = CensusConfig(n_max=2000, segment_size=400)
         path = tmp_path / "scan.ckpt"
         verify_range(cfg, checkpoint=str(path))
@@ -701,7 +846,7 @@ class TestCheckpointing:
             with pytest.raises(CheckpointError):
                 verify_range(cfg, checkpoint=str(path))
 
-    def test_version_1_file_resumes_and_stays_version_1(self, tmp_path):
+    def test_version_1_file_is_refused_and_left_unchanged(self, tmp_path):
         cfg = CensusConfig(n_max=2000, segment_size=400)
         path = tmp_path / "scan.ckpt"
         verify_range(cfg, checkpoint=str(path))
@@ -714,13 +859,10 @@ class TestCheckpointing:
             del rec["digest"]
             v1.append(json.dumps(rec, sort_keys=True))
         path.write_text("\n".join(v1) + "\n")
-        expected = verify_range(cfg).to_json()
-        assert verify_range(cfg, checkpoint=str(path)).to_json() == expected
-        lines = path.read_text().splitlines()
-        assert lines[:4] == v1
-        assert len(lines) == 6
-        assert all("digest" not in json.loads(line) for line in lines[1:])
-        assert verify_range(cfg, checkpoint=str(path)).to_json() == expected
+        data = path.read_bytes()
+        with pytest.raises(CheckpointError, match="version 1.*delete it and rescan"):
+            verify_range(cfg, checkpoint=str(path))
+        assert path.read_bytes() == data
 
     def test_blank_line_then_truncated_record_resumes_twice(self, tmp_path):
         cfg = CensusConfig(n_max=2000, segment_size=400)

@@ -114,6 +114,14 @@ class TestVerifyCommand:
         assert code == 3
         assert "checkpoint" in err.lower()
 
+    def test_constant_too_small_for_int64_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--max", "9000", "--eta", "40",
+            "--constant", "1/100000000000000000000", "--threads", "1",
+        )
+        assert code == 2 and out == ""
+        assert "too small" in err
+
     def test_checkpoint_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DIVBOUND_CHECKPOINT_DIR", str(tmp_path))
         code, _, _ = run_cli(
