@@ -25,10 +25,10 @@ c's numerator times the sum of the clamped weights and c's denominator
 times 2 sqrt(n_max) stay below 2^31. tau is widened to it only to be
 multiplied by c's denominator.
 
-The exact maximum ratio is taken over the distinct (tau, S) pairs of the
-candidates, not over every candidate. Counters merge order-independently,
-which makes reports identical for any worker count, segment size or
-window size.
+A window takes its counts, equality list and maximum from one candidate
+set that provably holds every violation and equality (_compare_window).
+Counters merge order-independently, so reports are identical for any
+worker count, segment size or window size.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from math import isfinite, isqrt
+from math import isfinite, isqrt, log10
 
 import numpy as np
 
@@ -69,14 +69,15 @@ __all__ = [
 ]
 
 FLOAT_REL_TOL = 1e-9  # comparison tolerance on the non-integer-eta path
+_RECORD_DIGITS = 4300  # Python's default digit limit on int <-> text, json's too
 
 # Segments are compared this many n at a time, which bounds the numpy
-# temporaries of a segment: tracemalloc peaks at 20 MB for a 2^22 segment
-# at the top of [1, 10^8], against 176 MB for whole-segment int64 arrays.
-# With two threads scanning such segments side by side, windows of 2^19,
-# 2^20 and 2^21 took 194-240 ms per segment, too close to rank, and 2^18
-# and whole 2^22 segments 217-274 ms (two runs each, 2-core Xeon); 2^20 is
-# the middle of the flat range.
+# temporaries of a segment: tracemalloc peaks at 12.7 MB for a 2^22 segment
+# at the top of [1, 10^8] (13.6 MB with its equality list), against 51 MB
+# as one window. With two threads scanning such segments side by side,
+# windows of 2^19, 2^20 and 2^21 took 194-240 ms per segment, too close to
+# rank, and 2^18 and whole 2^22 segments 217-274 ms (two runs each, 2-core
+# Xeon); 2^20 is the middle of the flat range.
 _WINDOW = 1 << 20
 
 
@@ -256,8 +257,15 @@ def _weight_table(cfg: CensusConfig) -> tuple[np.ndarray, Fraction | None]:
     else ValueError (a C far below 1 with huge weights).
     """
     d_max = integer_kth_root(cfg.n_max, cfg.k)
+    if cfg.exact and cfg.weight == "tau_power" and d_max > 1:
+        top = max(tau(factorize(d)) for d in range(2, d_max + 1))  # S <= d_max top^eta
+        if cfg.eta >= (_RECORD_DIGITS - log10(d_max)) / log10(top):  # before any power
+            raise ValueError(f"eta too large: weights up to {top}^eta "
+                             f"pass {_RECORD_DIGITS} digits")
     weights = [0] + [_weight(d, cfg) for d in range(1, d_max + 1)]
     if not cfg.exact:
+        if not isfinite(float(cfg.constant) * sum(weights)):  # bounds every C * S
+            raise OverflowError("float64 sums of these weights times C overflow")
         return np.array(weights, dtype=np.float64), None
     t = 2 * isqrt(cfg.n_max)
     c = cfg.constant
@@ -358,8 +366,8 @@ _PERIOD_DIVISORS = sorted(
 
 # The one resident pattern, (key, pattern); see _period_pattern. One slot,
 # not a cache of several: census windows ascend, so a pattern is not needed
-# again once the next divisor of _PERIOD joins, and the one slot already
-# raises census-headline's peak RSS from 84 to 86 MB.
+# again once the next divisor of _PERIOD joins, and each pattern holds
+# _PERIOD sums, 0.6 MB in int32 and 1.2 MB in int64.
 _pattern_slot: tuple[tuple, np.ndarray] | None = None
 
 
@@ -384,19 +392,16 @@ def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray) -> np.n
     """S(n) for every n in [lo, hi]: each d with d^k <= hi contributes
     weight(d) to its multiples n >= d^k.
 
-    On int32 and int64 weights a window of at least _PERIOD / 8 n starts
-    from the periodic pattern of the d that divide _PERIOD and have
-    d^k <= lo: each of them adds w[d] to every multiple in the window, and
-    d divides n exactly when it divides n % _PERIOD. The strided loop adds
-    the other d. Integer sums do not depend on the order of the adds, so S
-    is the same; float64 sums do, and float64 weights take the loop alone,
-    in ascending d. Below _PERIOD / 8 n, copying even a resident pattern
-    saves nothing over the loop (0.19 ms either way at the top of
-    [1, 10^8]), and building one costs about 0.6 ms.
+    On int32 and int64 weights a window starts from the periodic pattern
+    of the d that divide _PERIOD and have d^k <= lo: each of them adds
+    w[d] to every multiple in the window, and d divides n exactly when it
+    divides n % _PERIOD. The strided loop adds the other d. Integer sums
+    do not depend on the order of the adds, so S is the same; float64
+    sums do, and float64 weights take the loop alone, in ascending d.
     """
     length = hi - lo + 1
     periodic: list[int] = []
-    if w.dtype.kind == "i" and length >= _PERIOD // 8:
+    if w.dtype.kind == "i":
         root = integer_kth_root(lo, cfg.k)
         periodic = [d for d in _PERIOD_DIVISORS if d <= root]
     if periodic:
@@ -515,56 +520,42 @@ def _exact_argmax(
 def _compare_window(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray, collect: bool
 ) -> _SegmentResult:
-    """tau(n) against constant * S(n) for every n in [lo, hi], S in the dtype
-    _weight_table chose for w. The sieve's narrow tau is widened to it only
-    to be multiplied by the constant's denominator; numpy compares and
-    divides mixed dtypes exactly."""
+    """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
+    (the stand-in c on the exact path), S in the dtype of w.
+
+    Ratios tau / S, float32 on the exact path and float64 on the float
+    path, -inf where squarefree_only excludes n, pick the candidates with
+    ratio >= min(peak, C) * (1 - 1e-5). Only they are compared exactly:
+    for the counts, the equality list and, within 1e-5 of the peak, the
+    exact maximum. Each n with tau / S >= C is a candidate. float32 holds
+    tau (< 2^24) exactly and errs by about 1.2e-7 in S and the quotient. A
+    float-path violation or equality has tau >= C S (1 - 1e-9) if C S >= 1,
+    else tau >= 1 > C S; float64 gives a gathered subset the same bits.
+    """
     tau, sqfree = _tau_segment(lo, hi, primes)
     S = _harvest_segment(lo, hi, cfg, w)
-    cn, cd = cfg.constant.numerator, cfg.constant.denominator
-
-    # the products are freed before the ratio array is allocated
-    if cfg.exact:
-        lhs = tau if cd == 1 else cd * tau.astype(S.dtype)
-        rhs = cn * S
-        viol_mask = lhs > rhs
-        eq_mask = lhs == rhs
-        del lhs, rhs
-    else:
-        rhs_f = float(cfg.constant) * S
-        tol = FLOAT_REL_TOL * np.maximum(rhs_f, 1.0)
-        viol_mask = tau > rhs_f + tol
-        eq_mask = np.abs(tau - rhs_f) <= tol
-        del rhs_f, tol
-
-    if cfg.squarefree_only:
-        viol_mask &= sqfree
-        eq_mask &= sqfree
-
-    violations = int(np.count_nonzero(viol_mask))
-    equalities = int(np.count_nonzero(eq_mask))
-    equality_ns = (np.flatnonzero(eq_mask) + lo).tolist() if collect else None
-    del viol_mask, eq_mask
-
-    # exact path: float32 ratios within 1e-5 of the peak (float32 errs by
-    # about 1e-7) only pick candidates; the float path reports float64
     ratio = np.divide(tau, S, dtype=np.float32) if cfg.exact else tau / S
     if cfg.squarefree_only:
         ratio[~sqfree] = -np.inf
     peak = float(ratio.max())
-    # With nothing eligible in the window, the (0, 1, -1) start stays: it
-    # loses every merge (n = 1 is always eligible, so no report keeps it).
-    best_num, best_den, best_n = 0, 1, -1
     if peak == float("-inf"):
-        pass
-    elif cfg.exact:
-        cand = np.flatnonzero(ratio >= peak * (1.0 - 1e-5))
-        best_num, best_den, best_n = _exact_argmax(tau, S, cand, lo)
+        # nothing eligible (squarefree_only); (0, 1, -1) loses every merge
+        return _SegmentResult(lo, hi, 0, 0, 0, 1, -1, [] if collect else None)
+    C = cfg.constant
+    cand = np.flatnonzero(ratio >= min(peak, float(C)) * (1.0 - 1e-5))
+    t, s = tau[cand], S[cand]
+    if cfg.exact:
+        lhs, rhs = C.denominator * t.astype(s.dtype), C.numerator * s
+        viol, eq = lhs > rhs, lhs == rhs
+        best = _exact_argmax(tau, S, cand[ratio[cand] >= peak * (1.0 - 1e-5)], lo)
     else:
-        i = int(np.argmax(ratio))  # argmax returns the first (smallest n) peak
-        best_num, best_n = float(ratio[i]), lo + i
+        rhs_f = float(C) * s
+        tol = FLOAT_REL_TOL * np.maximum(rhs_f, 1.0)
+        viol, eq = t > rhs_f + tol, np.abs(t - rhs_f) <= tol
+        best = (peak, 1, lo + int(np.argmax(ratio)))  # the first (smallest n) peak
     return _SegmentResult(
-        lo, hi, violations, equalities, best_num, best_den, best_n, equality_ns
+        lo, hi, int(np.count_nonzero(viol)), int(np.count_nonzero(eq)), *best,
+        (cand[eq] + lo).tolist() if collect else None,
     )
 
 

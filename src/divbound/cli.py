@@ -51,19 +51,8 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _eta(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        f = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    return int(f) if f.denominator == 1 else f
-
 def _eta_grid(text: str) -> list:
-    return [_eta(part) for part in text.split(",") if part.strip()]
+    return [_fraction(part) for part in text.split(",") if part.strip()]
 
 
 def _positive_int(text: str) -> int:
@@ -98,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "tau(n) <= C * sum of tau(d)^eta over d^k <= n")
     p.add_argument("--max", type=_positive_int, required=True)
     p.add_argument("--constant", type=_fraction, default=Fraction(8))
-    p.add_argument("--eta", type=_eta, default=7)
+    p.add_argument("--eta", type=_fraction, default=7)
     p.add_argument("--k", type=_positive_int, default=4)
     p.add_argument("--weight", choices=("tau_power", "landreau"), default="tau_power")
     p.add_argument("--squarefree-only", action="store_true")

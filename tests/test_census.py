@@ -6,23 +6,22 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from divbound import census
-from divbound.arith import factorize, integer_kth_root, omega, tau
+from divbound.arith import _prime_sieve, factorize, integer_kth_root, omega, tau
 from divbound.census import (
     CensusConfig,
     CheckpointError,
     ScanInterrupted,
     _harvest_segment,
-    _scan_primes,
     _tau_dtypes,
     _tau_segment,
     _weight_table,
@@ -49,7 +48,7 @@ def _check_tau_segment(lo: int, hi: int) -> None:
         f = factorize(n)
         want_tau.append(tau(f))
         want_sqfree.append(all(a == 1 for _, a in f.factors))
-    for primes in (_scan_primes(isqrt(hi)), _scan_primes(4 * isqrt(hi) + 100)):
+    for primes in (_prime_sieve(isqrt(hi)), _prime_sieve(4 * isqrt(hi) + 100)):
         t, sq = _tau_segment(lo, hi, primes)
         assert t.dtype == _tau_dtypes(hi)[0]  # nothing promoted tau
         assert t.tolist() == want_tau
@@ -93,7 +92,7 @@ _HARVEST_WINDOWS = [
     (100**4 - 10, 100**4 + 200_000),
     # lo % period is period - 1, 0 and 1; lengths above, at and below it
     *[(_MP + e, _MP + e + n - 1) for e in (-1, 0, 1) for n in (2**20, _P, _P + 2)],
-    # windows shorter than the cut-off, at it, and starting near 1
+    # short windows, and windows starting near 1
     (_MP + 1, _MP + 1),
     (_MP - 50, _MP + 50),
     (_MP - 7, _MP - 8 + _P // 8 - 1),
@@ -228,6 +227,87 @@ def _exact_configs(draw) -> CensusConfig:
     return replace(cfg, constant=constant)
 
 
+def _compare_reference(lo, hi, cfg, w, primes, collect):
+    """The window compare over every n, as census._compare_window did it
+    before one candidate set decided everything: exact products or float
+    tolerances and squarefree masks on the whole window, and the exact
+    maximum from the float32 candidates near the peak."""
+    t, sqfree = _tau_segment(lo, hi, primes)
+    S = _harvest_segment(lo, hi, cfg, w)
+    if cfg.exact:
+        lhs = cfg.constant.denominator * t.astype(S.dtype)
+        rhs = cfg.constant.numerator * S
+        viol, eq = lhs > rhs, lhs == rhs
+    else:
+        rhs_f = float(cfg.constant) * S
+        tol = census.FLOAT_REL_TOL * np.maximum(rhs_f, 1.0)
+        viol, eq = t > rhs_f + tol, np.abs(t - rhs_f) <= tol
+    if cfg.squarefree_only:
+        viol &= sqfree
+        eq &= sqfree
+    ratio = np.divide(t, S, dtype=np.float32) if cfg.exact else t / S
+    if cfg.squarefree_only:
+        ratio[~sqfree] = -np.inf
+    peak = float(ratio.max())
+    best = (0, 1, -1)
+    if peak > float("-inf") and cfg.exact:
+        cand = np.flatnonzero(ratio >= peak * (1.0 - 1e-5))
+        best = census._exact_argmax(t, S, cand, lo)
+    elif peak > float("-inf"):
+        i = int(np.argmax(ratio))
+        best = (float(ratio[i]), 1, lo + i)
+    return census._SegmentResult(
+        lo, hi, int(np.count_nonzero(viol)), int(np.count_nonzero(eq)), *best,
+        (np.flatnonzero(eq) + lo).tolist() if collect else None,
+    )
+
+
+# runs of n with no squarefree n among them
+_NONSQUAREFREE_RUNS = [(4, 4), (8, 9), (24, 25), (48, 50), (242, 245)]
+
+
+@st.composite
+def _window_cases(draw) -> tuple[CensusConfig, int, int]:
+    """A config and a window [lo, hi] of it: exact or float eta, and a
+    constant equal to or within 10^-8 of the ratio 8 or of the ratio of an
+    n in the window, below 1 / (sum of the weights), 1, or a fraction. One
+    window in five, where n_max allows, is a run with no squarefree n."""
+    n_max = draw(st.integers(1, 10**6))
+    float_eta = draw(st.booleans())
+    cfg = CensusConfig(
+        n_max=n_max,
+        k=draw(st.sampled_from([2, 3, 4, 4])),
+        eta=draw(st.sampled_from([0.5, 6.5, 7.5, Fraction(19, 25)])) if float_eta
+        else draw(st.integers(0, 40)),
+        weight="tau_power" if float_eta
+        else draw(st.sampled_from(["tau_power", "tau_power", "landreau"])),
+        squarefree_only=draw(st.booleans()),
+    )
+    runs = [r for r in _NONSQUAREFREE_RUNS if r[1] <= n_max]
+    if runs and draw(st.integers(0, 4)) == 0:
+        lo, hi = draw(st.sampled_from(runs))
+    else:
+        lo = draw(st.integers(1, n_max))
+        hi = draw(st.integers(lo, min(n_max, lo + 5000)))
+    kind = draw(st.sampled_from(
+        ["near-8", "attained", "attained", "below-sum", "one", "fraction"]))
+    shift = 1 + Fraction(draw(st.sampled_from([-1, 0, 0, 1])), 10**8)
+    if kind == "near-8":
+        constant = 8 * shift
+    elif kind == "attained":
+        m = draw(st.integers(lo, hi))
+        constant = tau(factorize(m)) / Fraction(divisor_weight_sum(m, cfg)) * shift
+    elif kind == "below-sum":
+        total = int(sum(_unclamped_table(cfg, object).tolist())) + 1
+        constant = Fraction(1, total * draw(st.integers(1, 10**6))
+                            + draw(st.integers(1, 1000)))
+    elif kind == "one":
+        constant = Fraction(1)
+    else:
+        constant = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**5)))
+    return replace(cfg, constant=constant), lo, hi
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = CensusConfig(n_max=100)
@@ -290,7 +370,7 @@ class TestDivisorWeightSum:
 
 class TestSegmentKernels:
     def test_tau_segment_matches_oracle(self, small_tau_table):
-        primes = _scan_primes(100)
+        primes = _prime_sieve(100)
         t, sq = _tau_segment(1, 10**4, primes)
         assert t.dtype == np.int16
         for n in range(1, 10**4 + 1):
@@ -298,7 +378,7 @@ class TestSegmentKernels:
             assert sq[n - 1] == all(a == 1 for _, a in factorize(n).factors)
 
     def test_tau_segment_offset_window(self):
-        primes = _scan_primes(1100)
+        primes = _prime_sieve(1100)
         lo, hi = 10**6 - 200, 10**6 + 200
         t, _ = _tau_segment(lo, hi, primes)
         for n in range(lo, hi + 1):
@@ -561,6 +641,17 @@ class TestVerifyRange:
         assert payload["arithmetic"] == "float64"
         assert "float_rel_tol" in payload
 
+    def test_float_sums_that_overflow_are_refused(self):
+        # 2^1023.5 is finite but 8 * (1 + 2^1023.5) is not: n = 16 would
+        # compare tau with C * S = inf, which an infinite tolerance admits
+        # as an equality
+        with pytest.raises(OverflowError, match="overflow"):
+            verify_range(CensusConfig(n_max=80, eta=1023.5))
+        report = verify_range(CensusConfig(n_max=80, eta=1023.5, constant=Fraction(1, 8)))
+        v, e, ratio, argmax = brute_report(80, Fraction(1, 8), eta=1023.5)
+        assert (report.violations, report.equalities) == (v, e) == (47, 0)
+        assert (report.max_ratio, report.argmax_n) == (ratio, argmax)
+
     # In each config C's products with the unclamped sums need more than
     # int64, which once took a Python-int scan; the clamped table and the
     # stand-in c make it int32. segment_size = 5000 splits 9000 n in two.
@@ -637,6 +728,25 @@ class TestVerifyRange:
 
 
 class TestWindows:
+    @given(case=_window_cases(), collect=st.booleans())
+    @example(case=(CensusConfig(n_max=4, squarefree_only=True), 4, 4), collect=True)
+    @example(case=(CensusConfig(n_max=10**6, eta=7.5, constant=Fraction(1)),
+                   10**6 - 5000, 10**6), collect=True)
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_compare_matches_full_window(self, case, collect):
+        # one candidate set against the whole-window masks: counts, the
+        # equality list and the maximum agree on both paths
+        cfg, lo, hi = case
+        try:
+            w, c = _weight_table(cfg)
+        except ValueError:  # refused: a C far below 1 with huge weights
+            reject()
+        scan_cfg = cfg if c is None else replace(cfg, constant=c)
+        primes = _prime_sieve(max(isqrt(cfg.n_max), 2))
+        got = census._compare_window(lo, hi, scan_cfg, w, primes, collect)
+        want = _compare_reference(lo, hi, scan_cfg, w, primes, collect)
+        assert asdict(got) == asdict(want)
+
     @pytest.mark.parametrize("squarefree_only", [False, True])
     def test_windows_of_one_segment_match_small_segments(self, squarefree_only):
         # one 2^22 segment over ~3.3 windows against 2^16 segments of one
@@ -744,7 +854,7 @@ class TestTripleCount:
         report = verify_range(CensusConfig(n_max=n_max))
         assert report.equalities == triple_count(n_max) == pinned
         # the argument's premise: tau(n) >= 8 * (1 + 2^7) needs tau(n) >= 1032
-        t, _ = _tau_segment(1, n_max, _scan_primes(isqrt(n_max)))
+        t, _ = _tau_segment(1, n_max, _prime_sieve(isqrt(n_max)))
         assert int(t.max()) < 1032
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,36 @@ class TestVerifyCommand:
         )
         assert code == 2 and out == ""
         assert "too small" in err
+
+    # 2^(10^400) would never finish; at eta 10000 the S of n = 256,
+    # 1 + 2^10000 + 3^10000, has 4,772 digits, past the 4,300 json writes
+    @pytest.mark.parametrize(
+        "argv",
+        [["--max", "100", "--eta", "1e400"],
+         ["--max", "300", "--eta", "10000", "--segment-size", "1"]],
+        ids=["eta1e400", "eta10000"],
+    )
+    def test_eta_too_large_for_records_exits_2(self, capsys, tmp_path, argv):
+        ckpt = tmp_path / "F"
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "verify", *argv, "--threads", "1",
+                                 "--checkpoint", str(ckpt))
+        assert time.monotonic() - t0 < 1
+        assert code == 2 and out == ""
+        assert "eta too large" in err
+        assert not ckpt.exists()
+
+    def test_eta_2000_still_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max", "10000", "--eta", "2000",
+                               "--threads", "1")
+        assert code == 0
+        assert json.loads(out)["config"]["eta"] == 2000
+
+    def test_bad_eta_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max", "10", "--eta", "seven"])
+        assert exc.value.code == 2
+        assert "not a rational number: 'seven'" in capsys.readouterr().err
 
     def test_checkpoint_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DIVBOUND_CHECKPOINT_DIR", str(tmp_path))
