@@ -7,10 +7,8 @@ Everything here is pure and exact; no floats anywhere near a comparison.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import chain, count
+from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
@@ -50,47 +48,49 @@ _MR_TIERS = (
     (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
-# _factor_int trial-divides a cofactor below 2^64 only by the primes up to
-# _TRIAL_LIMIT; Brent's rho splits what is left. _RHO_BATCH differences
-# share one gcd.
+# _factor_int trial-divides only by the primes up to _TRIAL_LIMIT; Brent's
+# rho splits what is left. _RHO_BATCH differences share one gcd.
 _TRIAL_LIMIT = 1 << 10
 _RHO_BATCH = 32
 
-_prime_table = np.zeros(0, dtype=np.int64)
-_prime_table_limit = 1
-_prime_table_lock = threading.Lock()
-
-
-def _prime_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit as an int64 array, ascending.
-
-    Every prime list in the package comes from this one sieve. Its table
-    is cached and only ever grows; callers get a read-only prefix of it.
-    """
-    global _prime_table, _prime_table_limit
-    with _prime_table_lock:
-        if limit > _prime_table_limit:
-            mask = np.ones(limit + 1, dtype=bool)
-            mask[:2] = False
-            for p in range(2, isqrt(limit) + 1):
-                if mask[p]:
-                    mask[p * p :: p] = False
-            _prime_table = np.nonzero(mask)[0].astype(np.int64)
-            _prime_table.flags.writeable = False
-            _prime_table_limit = limit
-        table = _prime_table
-    return table[: np.searchsorted(table, limit, side="right")]
-
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    return _prime_sieve(limit).tolist()
+    """All primes <= limit, ascending, as a fresh list.
+
+    The package's one prime sieve: an Eratosthenes mask, nothing cached.
+    """
+    if limit < 2:
+        return []
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).tolist()
 
 
-@cache
-def _primes_cache() -> list[int]:
-    # trial division walks a Python list: far faster than int64 scalars
-    return sieve_primes(_TRIAL_LIMIT)
+_TRIAL_PRIMES = sieve_primes(_TRIAL_LIMIT)
+
+
+def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """True when the odd n > max(bases) passes the strong (Miller-Rabin)
+    test to every base."""
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n: int) -> bool:
@@ -102,26 +102,9 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
     for bound, bases in _MR_TIERS:
         if n < bound:
-            witnesses = bases
-            break
-    for a in witnesses:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+            return _strong_probable_prime(n, bases)
 
 
 def next_prime_in(lo_exclusive: int, hi_exclusive: int) -> int | None:
@@ -184,14 +167,9 @@ class Factorization:
 def _factor_int(n: int) -> list[tuple[int, int]]:
     factors: list[tuple[int, int]] = []
     m = n
-    for p in chain(_primes_cache(), count(_TRIAL_LIMIT + 1, 2)):
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
-        if p > _TRIAL_LIMIT and m < 1 << 64:
-            # every prime factor of m exceeds the trial limit. At or above
-            # 2^64 trial by odd p goes on: is_prime is exact only below.
-            primes = _prime_divisors(m)
-            return factors + [(q, primes.count(q)) for q in sorted(set(primes))]
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -203,15 +181,29 @@ def _factor_int(n: int) -> list[tuple[int, int]]:
             if m < 1 << 64 and is_prime(m):
                 factors.append((m, 1))
                 return factors
+    else:
+        # every prime factor of m exceeds the trial limit
+        primes = _prime_divisors(m)
+        return factors + [(q, primes.count(q)) for q in sorted(set(primes))]
     if m > 1:
         factors.append((m, 1))
     return factors
 
 
 def _prime_divisors(m: int) -> list[int]:
-    """Prime factors of 1 < m < 2^64 with multiplicity, in no set order."""
-    if is_prime(m):
-        return [m]
+    """Prime factors of m > 1 with multiplicity, in no set order; m has
+    no prime factor up to _TRIAL_LIMIT.
+
+    A part at or above 2^64 that is a strong probable prime to the bases
+    of the last _MR_TIERS row raises ValueError: is_prime cannot certify
+    it, and rho would never end on it.
+    """
+    if m < 1 << 64:
+        if is_prime(m):
+            return [m]
+    elif _strong_probable_prime(m, _MR_TIERS[-1][1]):
+        raise ValueError(f"cannot factorize: the part {m} is at or above 2^64 and "
+                         "probably prime, which is_prime cannot certify")
     d = _brent(m)
     return _prime_divisors(d) + _prime_divisors(m // d)
 
@@ -252,11 +244,14 @@ def _brent(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Canonical Factorization of n >= 1.
 
-    Trial-divides by the primes up to 2^10; a cofactor below 2^64 that is
-    still composite is split by Brent's rho with fixed constants, every
-    part tested by the deterministic is_prime. A cofactor at or above 2^64
-    goes on by trial division, because is_prime is only exact below 2^64.
-    The result is deterministic either way.
+    Trial-divides by the primes up to 2^10; a cofactor that is still
+    composite is split by Brent's rho with fixed constants, every part
+    below 2^64 tested by the deterministic is_prime. The result is
+    deterministic. An n with a prime factor at or above 2^64 raises
+    ValueError, because is_prime is only exact below 2^64: so does any
+    part there that is a strong probable prime to the last _MR_TIERS
+    bases. Other parts there are split by rho, in time that grows with
+    the square root of their least prime factor.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; argument must be >= 1")
@@ -395,7 +390,7 @@ def spf_sieve_segment(
         raise ValueError("segment sieve supports hi <= 2^52")
     spf = np.zeros(length, dtype=np.int64)
     # descending, so the smallest prime factor is the last one written
-    for p in reversed(_prime_sieve(root).tolist()):
+    for p in reversed(sieve_primes(root)):
         start = max(((lo + p - 1) // p) * p, p * p)
         if start <= hi:
             spf[start - lo :: p] = p

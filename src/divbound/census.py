@@ -47,10 +47,10 @@ import numpy as np
 
 from .arith import (
     DEFAULT_SEGMENT_SIZE,
-    _prime_sieve,
     divisors_from_factorization,
     factorize,
     integer_kth_root,
+    sieve_primes,
     tau,
 )
 
@@ -225,7 +225,11 @@ def _weight(d: int, cfg: CensusConfig) -> int | float:
         return (2 ** len(f.factors) * t) ** cfg.k
     if cfg.exact:
         return t**cfg.eta
-    return float(t) ** float(cfg.eta)
+    try:
+        return float(t) ** float(cfg.eta)
+    except OverflowError:
+        raise OverflowError(f"float64 weight tau(d)^eta overflows at eta = {float(cfg.eta)}, "
+                            f"d = {d}, tau(d) = {t}") from None
 
 
 def divisor_weight_sum(n: int, cfg: CensusConfig) -> int | float:
@@ -291,9 +295,9 @@ def _weight_table(cfg: CensusConfig) -> tuple[np.ndarray, Fraction | None]:
 # segment kernels
 
 
-def _scan_primes(limit: int) -> np.ndarray:
-    """Sieving primes for a scan: the shared arith sieve, up to limit."""
-    return _prime_sieve(limit)
+def _scan_primes(limit: int) -> list[int]:
+    """Sieving primes for a scan: the arith sieve, up to limit."""
+    return sieve_primes(limit)
 
 
 def _tau_dtypes(hi: int) -> tuple[type, type]:
@@ -303,7 +307,7 @@ def _tau_dtypes(hi: int) -> tuple[type, type]:
     return tau_dtype, np.int32 if hi < 1 << 31 else np.int64
 
 
-def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tau_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
 
     A strided sieve over prime powers: for each sieving prime p with
@@ -332,7 +336,6 @@ def _tau_segment(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
     sqfree = np.ones(length, dtype=bool)
     prod = np.ones(length, dtype=prod_dtype)
     for p in primes:
-        p = int(p)
         if p * p > hi:
             break
         q, j = p, 1
@@ -364,10 +367,12 @@ _PERIOD_DIVISORS = sorted(
     for a in range(6) for b in range(4) for c in range(3) for e in range(2)
 )
 
-# The one resident pattern, (key, pattern); see _period_pattern. One slot,
-# not a cache of several: census windows ascend, so a pattern is not needed
-# again once the next divisor of _PERIOD joins, and each pattern holds
-# _PERIOD sums, 0.6 MB in int32 and 1.2 MB in int64.
+# The one resident pattern, (key, pattern); see _period_pattern. Each
+# pattern holds _PERIOD sums, 0.6 MB in int32 and 1.2 MB in int64. Two
+# workers interleave windows of different divisor sets, so the slot also
+# rebuilds: verify --max 10^8 --threads 2 calls _period_pattern 96 times
+# and builds 35 to 44 patterns. It stays because building the pattern in
+# every window made that run 8-11% slower in wall time (2-core Xeon).
 _pattern_slot: tuple[tuple, np.ndarray] | None = None
 
 
@@ -467,7 +472,7 @@ def _merge(
 
 
 def _scan_segment(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray, collect: bool
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: list[int], collect: bool
 ) -> _SegmentResult:
     """[lo, hi] compared _WINDOW n at a time, merged into one result.
     Clamped weights lower only ratios below 1; a best ratio below 1 (no
@@ -518,7 +523,7 @@ def _exact_argmax(
 
 
 def _compare_window(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: np.ndarray, collect: bool
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: list[int], collect: bool
 ) -> _SegmentResult:
     """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
     (the stand-in c on the exact path), S in the dtype of w.

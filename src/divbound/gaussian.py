@@ -35,7 +35,7 @@ from math import gcd, isqrt, lcm, sqrt
 
 import numpy as np
 
-from .arith import _prime_sieve, factorize, integer_kth_root
+from .arith import factorize, integer_kth_root, sieve_primes
 
 __all__ = [
     "GammaSpec",
@@ -266,19 +266,13 @@ def congruence_sum_A_via_residues(
     return total
 
 
-_phi_table: list[int] = [0, 1]
-
-
 def _totients(limit: int) -> list[int]:
     """phi(l) for 0 <= l <= limit (phi(0) = 0), from the package's one
-    prime sieve. The table is cached and only ever grows."""
-    global _phi_table
-    if limit >= len(_phi_table):
-        phi = np.arange(limit + 1, dtype=np.int64)
-        for p in _prime_sieve(limit).tolist():
-            phi[p::p] -= phi[p::p] // p
-        _phi_table = phi.tolist()
-    return _phi_table
+    prime sieve."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in sieve_primes(limit):
+        phi[p::p] -= phi[p::p] // p
+    return phi.tolist()
 
 
 def _main_terms(x: int, support: list) -> list[tuple[int, float]]:

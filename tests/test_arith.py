@@ -59,7 +59,7 @@ class TestFactorize:
             assert factorize(n).factors == tuple(oracle_factor(n))
 
     def test_large_semiprime(self):
-        p, q = 1048583, 1048589  # both just above the sieved prime cache
+        p, q = 1048583, 1048589  # both just above 2^20
         f = factorize(p * q)
         assert f.factors == ((p, 1), (q, 1))
 
@@ -67,13 +67,12 @@ class TestFactorize:
         assert factorize(2310) == factorize(2310)
 
     def test_boundary_primes_powers_and_products(self):
-        # primes on each side of the 2^10 trial limit, of the 2^20 cached
-        # primes and of 2^32; powers of those above 2^32 would need trial
-        # division to 2^32 once past 2^64, so they stop at the square
+        # primes on each side of the 2^10 trial limit, of 2^20 and of 2^32;
+        # rho splits the powers past 2^64
         small = (1019, 1021, 1031, 1033, 1048571, 1048573, 1048583, 1048589)
         large = (4294967279, 4294967291)
         cases = [p**k for p in small for k in range(1, 9)]
-        cases += [p * p for p in large] + list(large)
+        cases += [p**k for p in large for k in (1, 2, 3)]
         group = small[:4], small[4:], large
         cases += [p * q for g in group for p, q in zip(g, g[1:])]
         cases += [1031 * 4294967291, 1021 * 1048583 * 4294967279]
@@ -106,6 +105,17 @@ class TestFactorize:
                   1031**7, 1048573**4, 2**40 * 1048573**3):
             assert n >= 1 << 64
             assert factorize(n).factors == _sympy_factors(n), n
+
+    def test_beyond_2_64_square_of_a_prime_above_2_40(self):
+        # rho splits the cofactor p^2 ~ 2^80, which has no factor below 2^40
+        p = 1099511627791
+        assert factorize(7 * p**2).factors == ((7, 1), (p, 2))
+
+    def test_beyond_2_64_refuses_a_probable_prime_part(self):
+        p = 18446744073709551629  # the least prime above 2^64
+        for n in (p, 2 * 3 * p, p << 64, 1031 * p):
+            with pytest.raises(ValueError, match="probably prime"):
+                factorize(n)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -316,6 +326,20 @@ class TestPrimes:
     def test_sieve_primes(self):
         assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert sieve_primes(1) == []
+
+    @pytest.mark.parametrize("limit", [-1, 0, 1, 2, 3, 4, 24, 25, 26, 10**4])
+    def test_sieve_primes_matches_oracle(self, limit):
+        got = sieve_primes(limit)
+        assert type(got) is list and all(type(p) is int for p in got)
+        assert got == [n for n in range(2, limit + 1) if oracle_is_prime(n)]
+
+    def test_sieve_primes_returns_a_fresh_list(self):
+        first = sieve_primes(100)
+        first.append(101)
+        first[0] = 4
+        second = sieve_primes(100)
+        assert second == [n for n in range(2, 101) if oracle_is_prime(n)]
+        assert second is not first
 
 
 class TestIntegerKthRoot:

@@ -16,7 +16,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from divbound import census
-from divbound.arith import _prime_sieve, factorize, integer_kth_root, omega, tau
+from divbound.arith import factorize, integer_kth_root, omega, sieve_primes, tau
 from divbound.census import (
     CensusConfig,
     CheckpointError,
@@ -48,7 +48,7 @@ def _check_tau_segment(lo: int, hi: int) -> None:
         f = factorize(n)
         want_tau.append(tau(f))
         want_sqfree.append(all(a == 1 for _, a in f.factors))
-    for primes in (_prime_sieve(isqrt(hi)), _prime_sieve(4 * isqrt(hi) + 100)):
+    for primes in (sieve_primes(isqrt(hi)), sieve_primes(4 * isqrt(hi) + 100)):
         t, sq = _tau_segment(lo, hi, primes)
         assert t.dtype == _tau_dtypes(hi)[0]  # nothing promoted tau
         assert t.tolist() == want_tau
@@ -370,7 +370,7 @@ class TestDivisorWeightSum:
 
 class TestSegmentKernels:
     def test_tau_segment_matches_oracle(self, small_tau_table):
-        primes = _prime_sieve(100)
+        primes = sieve_primes(100)
         t, sq = _tau_segment(1, 10**4, primes)
         assert t.dtype == np.int16
         for n in range(1, 10**4 + 1):
@@ -378,7 +378,7 @@ class TestSegmentKernels:
             assert sq[n - 1] == all(a == 1 for _, a in factorize(n).factors)
 
     def test_tau_segment_offset_window(self):
-        primes = _prime_sieve(1100)
+        primes = sieve_primes(1100)
         lo, hi = 10**6 - 200, 10**6 + 200
         t, _ = _tau_segment(lo, hi, primes)
         for n in range(lo, hi + 1):
@@ -742,7 +742,7 @@ class TestWindows:
         except ValueError:  # refused: a C far below 1 with huge weights
             reject()
         scan_cfg = cfg if c is None else replace(cfg, constant=c)
-        primes = _prime_sieve(max(isqrt(cfg.n_max), 2))
+        primes = sieve_primes(max(isqrt(cfg.n_max), 2))
         got = census._compare_window(lo, hi, scan_cfg, w, primes, collect)
         want = _compare_reference(lo, hi, scan_cfg, w, primes, collect)
         assert asdict(got) == asdict(want)
@@ -854,7 +854,7 @@ class TestTripleCount:
         report = verify_range(CensusConfig(n_max=n_max))
         assert report.equalities == triple_count(n_max) == pinned
         # the argument's premise: tau(n) >= 8 * (1 + 2^7) needs tau(n) >= 1032
-        t, _ = _tau_segment(1, n_max, _prime_sieve(isqrt(n_max)))
+        t, _ = _tau_segment(1, n_max, sieve_primes(isqrt(n_max)))
         assert int(t.max()) < 1032
 
 

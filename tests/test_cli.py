@@ -41,6 +41,13 @@ class TestWitnessCommand:
             main(["witness", "0"])
         assert exc.value.code == 2
 
+    def test_witness_prime_above_2_64_exits_2(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "witness", "18446744073709551629")
+        assert time.monotonic() - t0 < 2
+        assert code == 2 and out == ""
+        assert "at or above 2^64 and probably prime" in err
+
     def test_witness_payload_reconstructs_certificate(self, capsys):
         _, out, _ = run_cli(capsys, "witness", "18480")
         p = json.loads(out)
@@ -140,6 +147,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "eta too large" in err
         assert not ckpt.exists()
+
+    def test_float_weight_overflow_names_eta_d_and_tau_exits_3(self, capsys):
+        # 2^1023.5 is finite; 3^1023.5, the weight of d = 4, is not
+        code, out, err = run_cli(capsys, "verify", "--max", "300", "--eta", "1023.5",
+                                 "--threads", "1")
+        assert code == 3 and out == ""
+        assert "eta = 1023.5, d = 4, tau(d) = 3" in err
 
     def test_eta_2000_still_runs(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max", "10000", "--eta", "2000",
