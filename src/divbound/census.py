@@ -6,11 +6,11 @@ segmented, and each segment is compared _WINDOW n at a time. In a window
 tau comes from a strided sieve over prime powers p^j <= hi, which updates
 tau in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
-The d that divide _PERIOD = 151200 and have d^k <= lo add to S a pattern
-of period _PERIOD in n, built once and copied into every window that
-needs it; the others are added one strided slice per d. Only integer S
-takes the pattern: integer sums do not depend on the order of the adds,
-and float64 sums keep the ascending order of d bit for bit.
+The d that divide _PERIOD = 151200 add to S a pattern of period _PERIOD
+in n, built once per scan and copied into every window, and take their
+weight back below d^k; the others are added one strided slice per d. Only
+integer S takes the pattern: integer sums do not depend on the order of
+the adds, and float64 sums keep the ascending order of d bit for bit.
 
 On the exact path the weights are clamped and C is replaced by a stand-in
 c that orders every tau / S as C does (see _weight_table), so S is int32
@@ -362,72 +362,62 @@ def _tau_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.nd
 # The period of the harvest. 151200 = 2^5 * 3^3 * 5^2 * 7 is divisible by
 # 42 of the 100 d of the default scan, every d <= 10 among them.
 _PERIOD = 151200
-_PERIOD_DIVISORS = sorted(
+_PERIOD_DIVISORS = tuple(sorted(
     2**a * 3**b * 5**c * 7**e
     for a in range(6) for b in range(4) for c in range(3) for e in range(2)
-)
-
-# The one resident pattern, (key, pattern); see _period_pattern. Each
-# pattern holds _PERIOD sums, 0.6 MB in int32 and 1.2 MB in int64. Two
-# workers interleave windows of different divisor sets, so the slot also
-# rebuilds: verify --max 10^8 --threads 2 calls _period_pattern 96 times
-# and builds 35 to 44 patterns. It stays because building the pattern in
-# every window made that run 8-11% slower in wall time (2-core Xeon).
-_pattern_slot: tuple[tuple, np.ndarray] | None = None
+))
 
 
-def _period_pattern(ds: list[int], w: np.ndarray) -> np.ndarray:
-    """pattern[i] = sum of w[d] over the d in ds that divide i, for i in
-    [0, _PERIOD); every d in ds divides _PERIOD, so this is the weight they
-    add to any n with n % _PERIOD == i. Read-only; the last one is kept."""
-    global _pattern_slot
-    key = (w.dtype.str, tuple(ds), tuple(w[ds].tolist()))
-    slot = _pattern_slot
-    if slot is not None and slot[0] == key:
-        return slot[1]
+def _period_pattern(w: np.ndarray) -> np.ndarray | None:
+    """pattern[i] = sum of w[d] over the d | _PERIOD with d < len(w) that
+    divide i, for i in [0, _PERIOD): the weight they add to an n with
+    n % _PERIOD == i once d^k <= n. None for float64 weights. Built once
+    per scan, read-only; 0.6 MB in int32 and 1.2 MB in int64."""
+    if w.dtype.kind != "i":
+        return None
     pattern = np.zeros(_PERIOD, dtype=w.dtype)
-    for d in ds:
-        pattern[::d] += w[d]
+    for d in _PERIOD_DIVISORS:
+        if d < len(w):
+            pattern[::d] += w[d]
     pattern.flags.writeable = False
-    _pattern_slot = (key, pattern)
     return pattern
 
 
-def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray) -> np.ndarray:
+def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
+                     pattern: np.ndarray | None) -> np.ndarray:
     """S(n) for every n in [lo, hi]: each d with d^k <= hi contributes
     weight(d) to its multiples n >= d^k.
 
-    On int32 and int64 weights a window starts from the periodic pattern
-    of the d that divide _PERIOD and have d^k <= lo: each of them adds
-    w[d] to every multiple in the window, and d divides n exactly when it
-    divides n % _PERIOD. The strided loop adds the other d. Integer sums
-    do not depend on the order of the adds, so S is the same; float64
-    sums do, and float64 weights take the loop alone, in ascending d.
+    With the scan's pattern S starts from a copy, which adds w[d] to every
+    multiple of each d | _PERIOD (d | n exactly when d | n % _PERIOD); each
+    such d takes w[d] back below d^k, and every other d adds it from d^k
+    on. Every value of S is a sum of w[d] over distinct d | n at every
+    step, so it stays in [0, sum of w], and the order of integer adds does
+    not matter. Float64 weights take no pattern and add in ascending d.
     """
     length = hi - lo + 1
-    periodic: list[int] = []
-    if w.dtype.kind == "i":
-        root = integer_kth_root(lo, cfg.k)
-        periodic = [d for d in _PERIOD_DIVISORS if d <= root]
-    if periodic:
-        pattern = _period_pattern(periodic, w)
+    if pattern is None:
+        S = np.zeros(length, dtype=w.dtype)
+    else:
         S = np.empty(length, dtype=w.dtype)
         off, i = lo % _PERIOD, 0
         while i < length:
             m = min(_PERIOD - off, length - i)
             S[i : i + m] = pattern[off : off + m]
             i, off = i + m, 0
-    else:
-        S = np.zeros(length, dtype=w.dtype)
-    skip = set(periodic)
     d = 1
     while d**cfg.k <= hi:
-        if d not in skip:
-            first = max(lo, d**cfg.k)
-            start = ((first + d - 1) // d) * d
+        if pattern is None or _PERIOD % d:
+            start = ((max(lo, d**cfg.k) + d - 1) // d) * d
             if start <= hi:
                 S[start - lo :: d] += w[d]
+        elif lo < d**cfg.k:
+            S[(-lo) % d : d**cfg.k - lo : d] -= w[d]
         d += 1
+    if pattern is not None:
+        for p in _PERIOD_DIVISORS:
+            if d <= p < len(w):  # p^k > hi: the whole window is below p^k
+                S[(-lo) % p :: p] -= w[p]
     return S
 
 
@@ -472,13 +462,14 @@ def _merge(
 
 
 def _scan_segment(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: list[int], collect: bool
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
+    primes: list[int], collect: bool,
 ) -> _SegmentResult:
     """[lo, hi] compared _WINDOW n at a time, merged into one result.
     Clamped weights lower only ratios below 1; a best ratio below 1 (no
     prime in a tiny segment) is redone n by n, so records keep exact S."""
     res = _merge(lo, hi, [
-        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, primes, collect)
+        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, pattern, primes, collect)
         for a in range(lo, hi + 1, _WINDOW)
     ], collect)
     if cfg.exact and res.max_num < res.max_den:
@@ -523,7 +514,8 @@ def _exact_argmax(
 
 
 def _compare_window(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: list[int], collect: bool
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
+    primes: list[int], collect: bool,
 ) -> _SegmentResult:
     """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
     (the stand-in c on the exact path), S in the dtype of w.
@@ -538,7 +530,7 @@ def _compare_window(
     else tau >= 1 > C S; float64 gives a gathered subset the same bits.
     """
     tau, sqfree = _tau_segment(lo, hi, primes)
-    S = _harvest_segment(lo, hi, cfg, w)
+    S = _harvest_segment(lo, hi, cfg, w, pattern)
     ratio = np.divide(tau, S, dtype=np.float32) if cfg.exact else tau / S
     if cfg.squarefree_only:
         ratio[~sqfree] = -np.inf
@@ -704,6 +696,7 @@ def verify_range(
     w, c = _weight_table(cfg)
     # the kernels compare with c; the report and the checkpoint keep cfg
     scan_cfg = cfg if c is None else replace(cfg, constant=c)
+    pattern = _period_pattern(w)
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
     segments = _segments(cfg)
 
@@ -728,7 +721,7 @@ def verify_range(
         # check into the results.
         check_stop()
         lo, hi = seg
-        res = _scan_segment(lo, hi, scan_cfg, w, primes, collect_equalities)
+        res = _scan_segment(lo, hi, scan_cfg, w, pattern, primes, collect_equalities)
         if ckpt is not None:
             ckpt.record(res)
         return res

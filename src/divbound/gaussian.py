@@ -133,11 +133,11 @@ class GammaSpec:
         return cls(r=r, mode="table", table=table)
 
 
-def _check_x(x: int, max_x: int) -> None:
+def _check_x(x: int) -> None:
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x > max_x:
-        raise ValueError(f"x = {x} exceeds the memory ceiling {max_x}")
+    if x > DEFAULT_MAX_X:
+        raise ValueError(f"x = {x} exceeds the memory ceiling {DEFAULT_MAX_X}")
 
 
 def _support(x: int, gamma: GammaSpec) -> list[tuple[int, int | Fraction]]:
@@ -147,12 +147,10 @@ def _support(x: int, gamma: GammaSpec) -> list[tuple[int, int | Fraction]]:
     return [(j**gamma.r, 1) for j in range(1, integer_kth_root(x - 1, 2 * gamma.r) + 1)]
 
 
-def sequence_a(
-    x: int, gamma: GammaSpec, max_x: int = DEFAULT_MAX_X
-) -> dict[int, int | Fraction]:
+def sequence_a(x: int, gamma: GammaSpec) -> dict[int, int | Fraction]:
     """a_n for n <= x as a sparse map, by enumerating ordered coprime pairs
     (l, m) with l^2 + m^2 <= x and adding gamma_l at l^2 + m^2. Exact."""
-    _check_x(x, max_x)
+    _check_x(x)
     a: dict[int, int | Fraction] = {}
     for l, cl in _support(x, gamma):
         ll = l * l
@@ -346,7 +344,7 @@ def discrepancy_table(
         raise CostCeilingError(
             f"estimated cost x*d_max = {cost} exceeds the ceiling {cost_ceiling}"
         )
-    _check_x(x, DEFAULT_MAX_X)
+    _check_x(x)
     support = _support(x, gamma)
     sums, scale = _block_sums(x, d_max, support)
     terms = _main_terms(x, support)

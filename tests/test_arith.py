@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from divbound.arith import (
+    DEFAULT_SEGMENT_SIZE,
     Factorization,
     divisors_from_factorization,
     divisors_up_to_fourth_root,
@@ -110,6 +111,12 @@ class TestFactorize:
         # rho splits the cofactor p^2 ~ 2^80, which has no factor below 2^40
         p = 1099511627791
         assert factorize(7 * p**2).factors == ((7, 1), (p, 2))
+
+    def test_beyond_2_64_splits_a_least_factor_near_2_40(self):
+        # rho splits p * q, p the least prime above 2^40 and q the least
+        # above 2^63 + 2^40, in 2^20 - 2 steps, well inside its budget
+        p, q = next_prime_after(2**40), next_prime_after(2**63 + 2**40)
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
 
     def test_beyond_2_64_refuses_a_probable_prime_part(self):
         p = 18446744073709551629  # the least prime above 2^64
@@ -266,8 +273,9 @@ class TestSieveSegment:
             spf_sieve_segment(10, 5)
         with pytest.raises(ValueError):
             spf_sieve_segment(0, 5)
-        with pytest.raises(ValueError):
-            spf_sieve_segment(1, 100, max_size=10)
+        # refused before the table is allocated
+        with pytest.raises(ValueError, match="exceeds"):
+            spf_sieve_segment(1, DEFAULT_SEGMENT_SIZE + 1)
 
     def test_rejects_out_of_range_lookup(self):
         seg = spf_sieve_segment(10, 20)

@@ -22,6 +22,7 @@ from divbound.census import (
     CheckpointError,
     ScanInterrupted,
     _harvest_segment,
+    _period_pattern,
     _tau_dtypes,
     _tau_segment,
     _weight_table,
@@ -101,6 +102,31 @@ _HARVEST_WINDOWS = [
     (15, 15 + _P),
     (16, 16 + _P),
 ]
+
+
+@st.composite
+def _harvest_cases(draw) -> tuple[int, np.ndarray, int, int]:
+    """(k, w, lo, hi): random weights for every d^k <= 10^8, int32 or int64
+    with a total just below the dtype's bound, or float64; and a window of
+    [1, 10^8] that straddles p^k for a periodic p <= root(hi), or ends
+    below p^k for a periodic p > root(hi), across up to two periods."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    d_max = integer_kth_root(10**8, k)
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype is np.float64:
+        w = rng.random(d_max + 1) * 10.0 ** draw(st.integers(0, 30))
+    else:
+        top = ((1 << 31) - 1 if dtype is np.int32 else 1 << 62) // (d_max + 1)
+        w = rng.integers(0, top, size=d_max + 1, endpoint=True, dtype=dtype)
+    w[0] = 0
+    p = draw(st.sampled_from([d for d in census._PERIOD_DIVISORS if 1 < d <= d_max]))
+    length = draw(st.integers(1, 2 * _P + 2))
+    if draw(st.booleans()):
+        lo = max(1, p**k - draw(st.integers(0, length - 1)))
+    else:
+        lo = max(1, p**k - length - draw(st.integers(0, 1000)))
+    return k, w, lo, min(lo + length - 1, 10**8)
 
 
 def _unclamped_table(cfg: CensusConfig, dtype) -> np.ndarray:
@@ -233,7 +259,7 @@ def _compare_reference(lo, hi, cfg, w, primes, collect):
     tolerances and squarefree masks on the whole window, and the exact
     maximum from the float32 candidates near the peak."""
     t, sqfree = _tau_segment(lo, hi, primes)
-    S = _harvest_segment(lo, hi, cfg, w)
+    S = _harvest_segment(lo, hi, cfg, w, _period_pattern(w))
     if cfg.exact:
         lhs = cfg.constant.denominator * t.astype(S.dtype)
         rhs = cfg.constant.numerator * S
@@ -405,7 +431,8 @@ class TestSegmentKernels:
 
     def test_harvest_equals_direct_enumeration(self):
         cfg = CensusConfig(n_max=10**4)
-        s = _harvest_segment(1, 10**4, cfg, _unclamped_table(cfg, np.int32))
+        w = _unclamped_table(cfg, np.int32)
+        s = _harvest_segment(1, 10**4, cfg, w, _period_pattern(w))
         for n in range(1, 10**4 + 1):
             assert s[n - 1] == oracle_weight_sum(n), n
 
@@ -422,14 +449,42 @@ class TestSegmentKernels:
         cfg = CensusConfig(n_max=10**8, k=k, eta=eta, constant=constant)
         w, _ = _weight_table(cfg)
         assert w.dtype == dtype
+        pattern = _period_pattern(w)
         for lo, hi in _HARVEST_WINDOWS:
-            got = _harvest_segment(lo, hi, cfg, w)
+            got = _harvest_segment(lo, hi, cfg, w, pattern)
             assert got.dtype == w.dtype
             assert np.array_equal(got, _harvest_reference(lo, hi, k, w)), (lo, hi)
-        # the last long window took the pattern, keyed by its divisors
-        assert census._pattern_slot[0][1][-1] == max(
-            d for d in census._PERIOD_DIVISORS if d**k <= 16
-        )
+
+    @given(case=_harvest_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_harvest_with_scan_pattern_matches_reference(self, case):
+        # the pattern of every periodic d <= d_max, taken back below d^k,
+        # against ascending adds: equal arrays on integer tables, equal
+        # bytes on float64 ones, which take no pattern
+        k, w, lo, hi = case
+        pattern = _period_pattern(w)
+        assert (pattern is None) == (w.dtype == np.float64)
+        got = _harvest_segment(lo, hi, CensusConfig(n_max=10**8, k=k), w, pattern)
+        want = _harvest_reference(lo, hi, k, w)
+        assert got.dtype == w.dtype
+        assert got.tobytes() == want.tobytes(), (lo, hi)
+
+    def test_pattern_is_built_once_per_scan(self, monkeypatch):
+        # every window of every segment, on both workers, reads one pattern
+        calls = []
+        real = census._period_pattern
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(census, "_period_pattern", counted)
+        cfg = CensusConfig(n_max=4 * 10**5, segment_size=10**5, workers=2)
+        report = verify_range(cfg)
+        assert report.segments_processed == 4
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.to_json() == verify_range(replace(cfg, workers=1)).to_json()
 
     def test_float_harvest_is_bit_identical(self):
         # float sums depend on the order of the adds; S must keep the
@@ -438,15 +493,17 @@ class TestSegmentKernels:
         w, c = _weight_table(cfg)
         assert w.dtype == np.float64 and c is None
         lo, hi = 10**8 - 2**20 + 1, 10**8
-        got = _harvest_segment(lo, hi, cfg, w)
+        assert _period_pattern(w) is None
+        got = _harvest_segment(lo, hi, cfg, w, None)
         assert got.tobytes() == _harvest_reference(lo, hi, 4, w).tobytes()
 
     def test_harvest_respects_segment_boundaries(self):
         cfg = CensusConfig(n_max=10**4)
         w, _ = _weight_table(cfg)
-        whole = _harvest_segment(1, 10**4, cfg, w)
+        pattern = _period_pattern(w)
+        whole = _harvest_segment(1, 10**4, cfg, w, pattern)
         pieces = np.concatenate(
-            [_harvest_segment(lo, min(lo + 999, 10**4), cfg, w)
+            [_harvest_segment(lo, min(lo + 999, 10**4), cfg, w, pattern)
              for lo in range(1, 10**4, 1000)]
         )
         assert np.array_equal(whole, pieces)
@@ -470,7 +527,7 @@ class TestSegmentKernels:
         cfg = CensusConfig(n_max=3000, **kwargs)
         w, c = _weight_table(cfg)
         assert w.dtype == np.int32
-        got = _harvest_segment(1, cfg.n_max, cfg, w).tolist()
+        got = _harvest_segment(1, cfg.n_max, cfg, w, _period_pattern(w)).tolist()
         C, clamped = cfg.constant, 0
         for n in range(1, cfg.n_max + 1):
             t, s, _ = _oracle_row(n, cfg)
@@ -743,7 +800,8 @@ class TestWindows:
             reject()
         scan_cfg = cfg if c is None else replace(cfg, constant=c)
         primes = sieve_primes(max(isqrt(cfg.n_max), 2))
-        got = census._compare_window(lo, hi, scan_cfg, w, primes, collect)
+        got = census._compare_window(lo, hi, scan_cfg, w, _period_pattern(w), primes,
+                                     collect)
         want = _compare_reference(lo, hi, scan_cfg, w, primes, collect)
         assert asdict(got) == asdict(want)
 

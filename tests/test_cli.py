@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from divbound.arith import next_prime_after
 from divbound.census import CensusConfig
 from divbound.cli import main
 from divbound.lowerbound import LowerBoundInstance, verify_instance
@@ -47,6 +48,16 @@ class TestWitnessCommand:
         assert time.monotonic() - t0 < 2
         assert code == 2 and out == ""
         assert "at or above 2^64 and probably prime" in err
+
+    def test_witness_two_primes_above_2_60_exits_2(self, capsys):
+        # rho gives up on the part after its step budget instead of running
+        # for about 2^30 steps
+        p, q = next_prime_after(2**60), next_prime_after(2**61)
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "witness", str(p * q))
+        assert time.monotonic() - t0 < 10
+        assert code == 2 and out == ""
+        assert f"rho found no factor of the part {p * q}" in err
 
     def test_witness_payload_reconstructs_certificate(self, capsys):
         _, out, _ = run_cli(capsys, "witness", "18480")

@@ -135,8 +135,9 @@ class TestSequence:
             assert abs(v) <= counts.get(n, 0)
 
     def test_memory_guard(self):
-        with pytest.raises(ValueError):
-            sequence_a(10**9, GammaSpec(r=1), max_x=10**6)
+        # refused before the dict is started
+        with pytest.raises(ValueError, match="memory ceiling"):
+            sequence_a(gaussian.DEFAULT_MAX_X + 1, GammaSpec(r=1))
 
 
 class TestRho:
