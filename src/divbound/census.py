@@ -6,11 +6,15 @@ segmented, and each segment is compared _WINDOW n at a time. In a window
 tau comes from a strided sieve over prime powers p^j <= hi, which updates
 tau in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
-The d that divide _PERIOD = 151200 add to S a pattern of period _PERIOD
-in n, built once per scan and copied into every window, and take their
-weight back below d^k; the others are added one strided slice per d. Only
-integer S takes the pattern: integer sums do not depend on the order of
-the adds, and float64 sums keep the ascending order of d bit for bit.
+Both start from patterns of period _PERIOD = 151200 in n, built once per
+scan and copied into every window. The tau start holds the p^j that
+divide _PERIOD, and the sieve adds the other p^j. Alongside tau it sums
+acc, a fixed-point 8 log2 of the sieved part of n, which tells where a
+single prime above sqrt(hi) is left over. The d that divide _PERIOD add
+to S their pattern and take their weight back below d^k; the others are
+added one strided slice per d. Only integer S takes the pattern: integer
+sums do not depend on the order of the adds, and float64 sums keep the
+ascending order of d bit for bit.
 
 On the exact path the weights are clamped and C is replaced by a stand-in
 c that orders every tau / S as C does (see _weight_table), so S is int32
@@ -19,11 +23,11 @@ or int64; clamping lowers only ratios below 1, and S(1) = 1.
 The integer arrays are as narrow as a proven bound allows. Each value the
 sieve gives tau is the tau of a divisor of some n <= hi, and divisors
 pair up around sqrt(n), so it is at most 2 sqrt(hi): int16 below 2^28,
-int32 below 2^60. The product of the sieved prime powers divides n, so
-it fits int32 below 2^31. S takes the weight table's dtype: int32 when
-c's numerator times the sum of the clamped weights and c's denominator
-times 2 sqrt(n_max) stay below 2^31. tau is widened to it only to be
-multiplied by c's denominator.
+int32 below 2^60. acc stays below 8.5 log2 hi: uint8 below 2^28, uint16
+above. S takes the weight table's dtype: int32 when c's numerator times
+the sum of the clamped weights and c's denominator times 2 sqrt(n_max)
+stay below 2^31. tau is widened to it only to be multiplied by c's
+denominator.
 
 A window takes its counts, equality list and maximum from one candidate
 set that provably holds every violation and equality (_compare_window).
@@ -301,71 +305,142 @@ def _scan_primes(limit: int) -> list[int]:
 
 
 def _tau_dtypes(hi: int) -> tuple[type, type]:
-    """The dtypes of _tau_segment's tau and prod arrays for a window ending
-    at hi: tau <= 2 sqrt(hi) and prod <= hi, as proved there."""
-    tau_dtype = np.int16 if hi < 1 << 28 else np.int32 if hi < 1 << 60 else np.int64
-    return tau_dtype, np.int32 if hi < 1 << 31 else np.int64
+    """The dtypes of _tau_segment's tau and acc arrays for a window ending
+    at hi: tau <= 2 sqrt(hi) and acc < 8.5 log2 hi, as proved there."""
+    if hi < 1 << 28:
+        return np.int16, np.uint8
+    return np.int32 if hi < 1 << 60 else np.int64, np.uint16
 
 
-def _tau_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
-
-    A strided sieve over prime powers: for each sieving prime p with
-    p^2 <= hi (primes must hold every one, ascending) and each q = p^j <= hi,
-    the multiples of q in the segment are the basic slice [(-lo) % q :: q].
-    At j = 1 tau doubles; at j >= 2 tau is divided by j and multiplied by
-    j + 1. The division is exact: every multiple of p^j is a multiple of
-    p^(j-1), whose step left the factor j in its tau (j = 1 multiplied by
-    2, and step j - 1 >= 2 multiplied by j). After the last power, tau
-    holds prod (e + 1) over the sieving primes and prod holds the part of
-    n built from them. The cofactor n / prod has no prime factor p with
-    p^2 <= hi, so it is 1 or a single prime: two such primes would make it
-    larger than hi. Where prod != n, tau doubles once for that prime: one
-    shift of tau by the mask prod != n, by 1 there and by 0 elsewhere.
-
-    tau and prod take the dtypes of _tau_dtypes(hi), which hold every value
-    they pass through: each value of tau, also between the division and the
-    multiplication, is the tau of a divisor of n, so at most 2 sqrt(hi);
-    prod is a divisor of n, so at most hi. The returned tau is therefore
-    int16 below 2^28; callers widen it before any arithmetic that could
-    leave that range.
-    """
-    length = hi - lo + 1
-    tau_dtype, prod_dtype = _tau_dtypes(hi)
-    tau = np.ones(length, dtype=tau_dtype)
-    sqfree = np.ones(length, dtype=bool)
-    prod = np.ones(length, dtype=prod_dtype)
-    for p in primes:
-        if p * p > hi:
-            break
-        q, j = p, 1
-        while q <= hi:
-            s = (-lo) % q
-            if s >= length:
-                break  # no multiple of q here, nor of any higher power
-            view = tau[s::q]
-            if j == 1:
-                view *= 2
-            else:
-                view //= j
-                view *= j + 1
-                if j == 2:
-                    sqfree[s::q] = False
-            prod[s::q] *= p
-            q *= p
-            j += 1
-    n = np.arange(lo, hi + 1, dtype=prod_dtype)
-    tau <<= prod != n  # a shift by 0 or 1: no mask pass over tau
-    return tau, sqfree
+def _log_weight(p: int) -> int:
+    """r_p = round(8 log2 p) for a prime p, in integers: the r with
+    2^(2r-1) < p^16 < 2^(2r+1), so |r_p - 8 log2 p| < 1/2. With L the bit
+    length of p^16, 2^(L-1) <= p^16 < 2^L, and r = L // 2 gives
+    2r - 1 <= L - 1 and L <= 2r + 1; p^16 reaches neither bound, as it is
+    a power of 2 only for p = 2, and then an even one."""
+    return (p**16).bit_length() // 2
 
 
-# The period of the harvest. 151200 = 2^5 * 3^3 * 5^2 * 7 is divisible by
-# 42 of the 100 d of the default scan, every d <= 10 among them.
+# The period of the harvest and of the tau sieve's start. 151200 =
+# 2^5 * 3^3 * 5^2 * 7 is divisible by 42 of the 100 d of the default scan,
+# every d <= 10 among them.
 _PERIOD = 151200
 _PERIOD_DIVISORS = tuple(sorted(
     2**a * 3**b * 5**c * 7**e
     for a in range(6) for b in range(4) for c in range(3) for e in range(2)
 ))
+
+
+def _tile(pattern: np.ndarray, lo: int, length: int, dtype) -> np.ndarray:
+    """pattern[(lo + i) % _PERIOD] for i in [0, length), in dtype."""
+    out = np.empty(length, dtype=dtype)
+    off, i = lo % _PERIOD, 0
+    while i < length:
+        m = min(_PERIOD - off, length - i)
+        out[i : i + m] = pattern[off : off + m]
+        i, off = i + m, 0
+    return out
+
+
+def _tau_start() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tau sieve's start: tau, acc and sqfree for the n with
+    n % _PERIOD == i, i in [0, _PERIOD), from the p^e || _PERIOD alone
+    (e = 5, 3, 2, 1 for p = 2, 3, 5, 7). With v = min(v_p(i), e), which
+    is min(v_p(n), e) as p^e divides _PERIOD, tau is the product of
+    (v + 1), at most 144, acc the sum of v r_p and sqfree says v < 2
+    for every p. The passes are those of _tau_segment at lo = 0. uint8,
+    uint8 and bool, read-only; built once per scan."""
+    tau = np.ones(_PERIOD, dtype=np.uint8)
+    acc = np.zeros(_PERIOD, dtype=np.uint8)
+    sqfree = np.ones(_PERIOD, dtype=bool)
+    for p in (2, 3, 5, 7):
+        q, j = p, 1
+        while _PERIOD % q == 0:
+            view = tau[::q]
+            if j > 1:
+                view //= j
+            view *= j + 1
+            acc[::q] += _log_weight(p)
+            if j == 2:
+                sqfree[::q] = False
+            q *= p
+            j += 1
+    for a in (tau, acc, sqfree):
+        a.flags.writeable = False
+    return tau, acc, sqfree
+
+
+def _tau_segment(
+    lo: int, hi: int, start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
+
+    tau, acc and sqfree start from a copy of start = _tau_start(), which
+    holds every p^j | n with p^j | _PERIOD. A strided sieve adds the other
+    prime powers: for each sieving prime p with p^2 <= hi (primes must
+    hold every one, ascending) and each q = p^j <= hi that does not divide
+    _PERIOD, the multiples of q in the segment are the basic slice
+    [(-lo) % q :: q]. At j = 1 tau doubles; at j >= 2 tau is divided by j
+    and multiplied by j + 1. The division is exact: every multiple of p^j
+    is a multiple of p^(j-1), whose step or the start left the factor j in
+    its tau. Each step adds r_p = _log_weight(p) to acc. A p | _PERIOD
+    with p^2 > hi divides n at most once, which the start holds. So tau
+    ends as prod (v_p(n) + 1) and acc as the sum of v_p(n) r_p over the
+    primes p | P of the part P of n built from the sieving primes and
+    2, 3, 5, 7. The cofactor n / P has no prime factor p with p^2 <= hi,
+    so it is 1 or a single prime q > 7 with q^2 > hi: two such primes
+    would make it larger than hi.
+
+    acc tells the two apart. P has at most log2 P prime factors, each
+    with |r_p - 8 log2 p| < 1/2, so 7.5 log2 P < acc < 8.5 log2 P, or
+    acc = 0 at P = 1. Let 2^E <= hi < 2^(E + 1) and n in [2^b, 2^(b + 1)),
+    so b <= E. Without a cofactor acc >= 7.5 log2 n >= 7.5 b >= 8b - E.
+    With one, q > 2^(E/2): n = q at P = 1, where acc = 0 and
+    E < 2(b + 1) < 8b, as n >= 11 gives b >= 3; else n >= 2q > 22, so
+    E >= b >= 4, and acc < 8.5 log2 (n / q) < 8.5 (b + 1 - E/2), which is
+    at most 8b - E when 0.5 b + 8.5 <= 3.25 E, true for b <= E and E >= 4.
+    So the cofactor is a prime exactly where acc < max(8b - E, 0): one
+    shift of tau by that mask, by 1 there and by 0 elsewhere, the mask
+    taken one power-of-two block at a time.
+
+    tau and acc take the dtypes of _tau_dtypes(hi), which hold every value
+    they pass through: each value of tau, also between the division and the
+    multiplication, is the tau of a divisor of n, so at most 2 sqrt(hi);
+    acc only grows, to below 8.5 log2 P <= 8.5 log2 hi, under 238 below
+    2^28. The returned tau is therefore int16 below 2^28; callers widen it
+    before any arithmetic that could leave that range.
+    """
+    length = hi - lo + 1
+    tau_dtype, acc_dtype = _tau_dtypes(hi)
+    tau, acc, sqfree = (_tile(a, lo, length, dt)
+                        for a, dt in zip(start, (tau_dtype, acc_dtype, bool)))
+    for p in primes:
+        if p * p > hi:
+            break
+        r = _log_weight(p)
+        q, j = p, 1
+        while _PERIOD % q == 0:  # the start holds p^j
+            q, j = q * p, j + 1
+        while q <= hi:
+            s = (-lo) % q
+            if s >= length:
+                break  # no multiple of q here, nor of any higher power
+            view = tau[s::q]
+            if j > 1:
+                view //= j
+            view *= j + 1
+            acc[s::q] += r
+            if j == 2:
+                sqfree[s::q] = False
+            q *= p
+            j += 1
+    E = hi.bit_length() - 1
+    mask = np.empty(length, dtype=bool)
+    for b in range(lo.bit_length() - 1, E + 1):
+        a, z = max(lo, 1 << b) - lo, min(hi, (2 << b) - 1) - lo + 1
+        np.less(acc[a:z], max(8 * b - E, 0), out=mask[a:z])
+    tau <<= mask  # a shift by 0 or 1: no mask pass over tau
+    return tau, sqfree
 
 
 def _period_pattern(w: np.ndarray) -> np.ndarray | None:
@@ -399,12 +474,7 @@ def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
     if pattern is None:
         S = np.zeros(length, dtype=w.dtype)
     else:
-        S = np.empty(length, dtype=w.dtype)
-        off, i = lo % _PERIOD, 0
-        while i < length:
-            m = min(_PERIOD - off, length - i)
-            S[i : i + m] = pattern[off : off + m]
-            i, off = i + m, 0
+        S = _tile(pattern, lo, length, w.dtype)
     d = 1
     while d**cfg.k <= hi:
         if pattern is None or _PERIOD % d:
@@ -463,13 +533,14 @@ def _merge(
 
 def _scan_segment(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
-    primes: list[int], collect: bool,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int], collect: bool,
 ) -> _SegmentResult:
     """[lo, hi] compared _WINDOW n at a time, merged into one result.
     Clamped weights lower only ratios below 1; a best ratio below 1 (no
     prime in a tiny segment) is redone n by n, so records keep exact S."""
     res = _merge(lo, hi, [
-        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, pattern, primes, collect)
+        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, pattern, start, primes,
+                        collect)
         for a in range(lo, hi + 1, _WINDOW)
     ], collect)
     if cfg.exact and res.max_num < res.max_den:
@@ -515,7 +586,7 @@ def _exact_argmax(
 
 def _compare_window(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
-    primes: list[int], collect: bool,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int], collect: bool,
 ) -> _SegmentResult:
     """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
     (the stand-in c on the exact path), S in the dtype of w.
@@ -529,7 +600,7 @@ def _compare_window(
     float-path violation or equality has tau >= C S (1 - 1e-9) if C S >= 1,
     else tau >= 1 > C S; float64 gives a gathered subset the same bits.
     """
-    tau, sqfree = _tau_segment(lo, hi, primes)
+    tau, sqfree = _tau_segment(lo, hi, start, primes)
     S = _harvest_segment(lo, hi, cfg, w, pattern)
     ratio = np.divide(tau, S, dtype=np.float32) if cfg.exact else tau / S
     if cfg.squarefree_only:
@@ -697,6 +768,7 @@ def verify_range(
     # the kernels compare with c; the report and the checkpoint keep cfg
     scan_cfg = cfg if c is None else replace(cfg, constant=c)
     pattern = _period_pattern(w)
+    start = _tau_start()
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
     segments = _segments(cfg)
 
@@ -721,7 +793,8 @@ def verify_range(
         # check into the results.
         check_stop()
         lo, hi = seg
-        res = _scan_segment(lo, hi, scan_cfg, w, pattern, primes, collect_equalities)
+        res = _scan_segment(lo, hi, scan_cfg, w, pattern, start, primes,
+                            collect_equalities)
         if ckpt is not None:
             ckpt.record(res)
         return res

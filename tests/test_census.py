@@ -8,7 +8,7 @@ import threading
 import time
 from dataclasses import asdict, replace
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 import numpy as np
 import pytest
@@ -22,9 +22,11 @@ from divbound.census import (
     CheckpointError,
     ScanInterrupted,
     _harvest_segment,
+    _log_weight,
     _period_pattern,
     _tau_dtypes,
     _tau_segment,
+    _tau_start,
     _weight_table,
     best_constant_curve,
     classify_equality_shape,
@@ -41,6 +43,11 @@ from oracles import (
 )
 
 
+_START = _tau_start()
+_P = census._PERIOD
+_MP = 331 * _P  # 50,047,200, a multiple of the period inside [1, 10^8]
+
+
 def _check_tau_segment(lo: int, hi: int) -> None:
     """_tau_segment on [lo, hi] against factorize, with exactly the sieving
     primes up to isqrt(hi) and with a longer list that must be cut off."""
@@ -50,10 +57,26 @@ def _check_tau_segment(lo: int, hi: int) -> None:
         want_tau.append(tau(f))
         want_sqfree.append(all(a == 1 for _, a in f.factors))
     for primes in (sieve_primes(isqrt(hi)), sieve_primes(4 * isqrt(hi) + 100)):
-        t, sq = _tau_segment(lo, hi, primes)
+        t, sq = _tau_segment(lo, hi, _START, primes)
         assert t.dtype == _tau_dtypes(hi)[0]  # nothing promoted tau
         assert t.tolist() == want_tau
         assert sq.tolist() == want_sqfree
+
+
+def _tau_reference(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """tau and squarefree flags on [lo, hi] from each prime's exponent, one
+    whole-window pass per prime p with p^2 <= hi, and a leftover prime."""
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    t, sqfree = np.ones_like(n), np.ones(len(n), dtype=bool)
+    for p in sieve_primes(isqrt(hi)):
+        e, q = np.zeros_like(n), p
+        while q <= hi:
+            e[(-lo) % q :: q] += 1
+            q *= p
+        n //= p**e
+        t *= e + 1
+        sqfree &= e < 2
+    return t << (n > 1), sqfree
 
 
 _TAU_EDGE_WINDOWS = (
@@ -64,8 +87,13 @@ _TAU_EDGE_WINDOWS = (
     # windows that end at p^2 - 1 and at p^2
     + [(max(1, p * p - 300), p * p - e) for p in (2, 3, 97, 9973) for e in (1, 0)]
     + [(10**8 - 1999, 10**8)]
-    # windows that end where _tau_dtypes widens tau (2^28) or prod (2^31)
+    # windows that end where _tau_dtypes widens tau and acc (2^28), and at 2^31
     + [(2**b - 300, 2**b - e) for b in (28, 31) for e in (1, 0)]
+    # windows that straddle 2^b, where the cofactor test's cut 8b - E moves
+    + [(max(1, 2**b - 150), 2**b + 150) for b in range(3, 31)]
+    # lo % period is 0, 1 and period - 1; a window across a multiple of it
+    + [(_MP + e, _MP + e + 300) for e in (0, 1, -1)]
+    + [(_MP - 300, _MP + 300)]
 )
 
 
@@ -81,8 +109,6 @@ def _harvest_reference(lo: int, hi: int, k: int, w: np.ndarray) -> np.ndarray:
     return S
 
 
-_P = census._PERIOD
-_MP = 331 * _P  # 50,047,200, a multiple of the period inside [1, 10^8]
 _HARVEST_WINDOWS = [
     # windows that contain or straddle d^4 for d = 96 and d = 100, which
     # divide the period
@@ -258,7 +284,7 @@ def _compare_reference(lo, hi, cfg, w, primes, collect):
     before one candidate set decided everything: exact products or float
     tolerances and squarefree masks on the whole window, and the exact
     maximum from the float32 candidates near the peak."""
-    t, sqfree = _tau_segment(lo, hi, primes)
+    t, sqfree = _tau_segment(lo, hi, _START, primes)
     S = _harvest_segment(lo, hi, cfg, w, _period_pattern(w))
     if cfg.exact:
         lhs = cfg.constant.denominator * t.astype(S.dtype)
@@ -397,7 +423,7 @@ class TestDivisorWeightSum:
 class TestSegmentKernels:
     def test_tau_segment_matches_oracle(self, small_tau_table):
         primes = sieve_primes(100)
-        t, sq = _tau_segment(1, 10**4, primes)
+        t, sq = _tau_segment(1, 10**4, _START, primes)
         assert t.dtype == np.int16
         for n in range(1, 10**4 + 1):
             assert t[n - 1] == small_tau_table[n]
@@ -406,7 +432,7 @@ class TestSegmentKernels:
     def test_tau_segment_offset_window(self):
         primes = sieve_primes(1100)
         lo, hi = 10**6 - 200, 10**6 + 200
-        t, _ = _tau_segment(lo, hi, primes)
+        t, _ = _tau_segment(lo, hi, _START, primes)
         for n in range(lo, hi + 1):
             assert t[n - lo] == tau(factorize(n))
 
@@ -419,15 +445,41 @@ class TestSegmentKernels:
     def test_tau_segment_edges(self, lo, hi):
         _check_tau_segment(lo, hi)
 
+    def test_tau_segment_every_small_window(self):
+        # every [lo, hi] with hi <= 256, among them those with hi below 9,
+        # 25 and 49, where 3, 5 and 7 come from the start but do not sieve
+        want = [(0, False)] + [(tau(f), all(a == 1 for a in f.exponents))
+                               for f in map(factorize, range(1, 257))]
+        for hi in range(1, 257):
+            for primes in (sieve_primes(isqrt(hi)), sieve_primes(256)):
+                for lo in range(1, hi + 1):
+                    t, sq = _tau_segment(lo, hi, _START, primes)
+                    assert list(zip(t.tolist(), sq.tolist())) == want[lo : hi + 1], (lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(15, 15 + _P), (_P - 5, 3 * _P + 5)])
+    def test_tau_segment_spans_periods(self, lo, hi):
+        # windows that copy the start in two and in four pieces
+        t, sq = _tau_segment(lo, hi, _START, sieve_primes(isqrt(hi)))
+        want_t, want_sq = _tau_reference(lo, hi)
+        assert t.dtype == np.int16
+        assert np.array_equal(t, want_t)
+        assert np.array_equal(sq, want_sq)
+
+    def test_log_weight_is_within_half_of_8_log2_p(self):
+        for p in sieve_primes(10**5):
+            r = _log_weight(p)
+            assert 2 ** (2 * r - 1) < p**16 < 2 ** (2 * r + 1), p
+            assert abs(r - 8 * log2(p)) < 0.5, p
+
     def test_tau_dtypes_widen_at_their_bounds(self):
         # tau(n) <= 2 sqrt(n) fits int16 below 2^28 and int32 below 2^60;
-        # prod <= n fits int32 below 2^31. 2^60 is far past any sieve.
-        assert _tau_dtypes(2**28 - 1) == (np.int16, np.int32)
-        assert _tau_dtypes(2**28) == (np.int32, np.int32)
-        assert _tau_dtypes(2**31 - 1) == (np.int32, np.int32)
-        assert _tau_dtypes(2**31) == (np.int32, np.int64)
-        assert _tau_dtypes(2**60 - 1) == (np.int32, np.int64)
-        assert _tau_dtypes(2**60) == (np.int64, np.int64)
+        # acc < 8.5 log2 n fits uint8 below 2^28 and uint16 far beyond.
+        # 2^60 is far past any sieve.
+        assert 8.5 * 28 < 2**8
+        assert _tau_dtypes(2**28 - 1) == (np.int16, np.uint8)
+        assert _tau_dtypes(2**28) == (np.int32, np.uint16)
+        assert _tau_dtypes(2**60 - 1) == (np.int32, np.uint16)
+        assert _tau_dtypes(2**60) == (np.int64, np.uint16)
 
     def test_harvest_equals_direct_enumeration(self):
         cfg = CensusConfig(n_max=10**4)
@@ -485,6 +537,22 @@ class TestSegmentKernels:
         assert len(calls) == 1
         monkeypatch.undo()
         assert report.to_json() == verify_range(replace(cfg, workers=1)).to_json()
+
+    def test_tau_start_is_built_once_per_scan(self, monkeypatch):
+        # every window of every segment, on both workers, copies one start
+        starts = []
+        real = census._tau_start
+
+        def counted():
+            starts.append(real())
+            return starts[-1]
+
+        monkeypatch.setattr(census, "_tau_start", counted)
+        cfg = CensusConfig(n_max=4 * 10**5, segment_size=10**5, workers=2)
+        assert verify_range(cfg).segments_processed == 4
+        assert len(starts) == 1
+        assert [a.dtype for a in starts[0]] == [np.uint8, np.uint8, np.bool_]
+        assert not any(a.flags.writeable for a in starts[0])
 
     def test_float_harvest_is_bit_identical(self):
         # float sums depend on the order of the adds; S must keep the
@@ -800,8 +868,8 @@ class TestWindows:
             reject()
         scan_cfg = cfg if c is None else replace(cfg, constant=c)
         primes = sieve_primes(max(isqrt(cfg.n_max), 2))
-        got = census._compare_window(lo, hi, scan_cfg, w, _period_pattern(w), primes,
-                                     collect)
+        got = census._compare_window(lo, hi, scan_cfg, w, _period_pattern(w), _START,
+                                     primes, collect)
         want = _compare_reference(lo, hi, scan_cfg, w, primes, collect)
         assert asdict(got) == asdict(want)
 
@@ -912,7 +980,7 @@ class TestTripleCount:
         report = verify_range(CensusConfig(n_max=n_max))
         assert report.equalities == triple_count(n_max) == pinned
         # the argument's premise: tau(n) >= 8 * (1 + 2^7) needs tau(n) >= 1032
-        t, _ = _tau_segment(1, n_max, sieve_primes(isqrt(n_max)))
+        t, _ = _tau_segment(1, n_max, _START, sieve_primes(isqrt(n_max)))
         assert int(t.max()) < 1032
 
 
