@@ -77,8 +77,8 @@ _RECORD_DIGITS = 4300  # Python's default digit limit on int <-> text, json's to
 
 # Segments are compared this many n at a time, which bounds the numpy
 # temporaries of a segment: tracemalloc peaks at 12.7 MB for a 2^22 segment
-# at the top of [1, 10^8] (13.6 MB with its equality list), against 51 MB
-# as one window. With two threads scanning such segments side by side,
+# at the top of [1, 10^8] (13.6 MB with its equality list), in the compare
+# step, against 51 MB as one window. With two threads scanning such segments side by side,
 # windows of 2^19, 2^20 and 2^21 took 194-240 ms per segment, too close to
 # rank, and 2^18 and whole 2^22 segments 217-274 ms (two runs each, 2-core
 # Xeon); 2^20 is the middle of the flat range.
