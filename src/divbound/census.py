@@ -8,13 +8,23 @@ tau in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
 Both start from patterns of period _PERIOD = 151200 in n, built once per
 scan and copied into every window. The tau start holds the p^j that
-divide _PERIOD, and the sieve adds the other p^j. Alongside tau it sums
-acc, a fixed-point 8 log2 of the sieved part of n, which tells where a
-single prime above sqrt(hi) is left over. The d that divide _PERIOD add
-to S their pattern and take their weight back below d^k; the others are
-added one strided slice per d. Only integer S takes the pattern: integer
-sums do not depend on the order of the adds, and float64 sums keep the
-ascending order of d bit for bit.
+divide _PERIOD, and the sieve adds the other p^j of the primes up to the
+cube root of hi. Alongside tau it sums acc, a fixed-point 8 log2 of the
+sieved part of n, with each r_p = round(8 log2 p) computed once per scan.
+A prime between the cube and the square root of hi divides n at most
+twice and touches only a second log sum, from which one shift of tau
+takes both the count of such primes and the single prime above sqrt(hi)
+that may be left over. The d that divide _PERIOD add to S their pattern
+and take their weight back below d^k; the others are added one strided
+slice per d. Only integer S takes the pattern: integer sums do not
+depend on the order of the adds, and float64 sums keep the ascending
+order of d bit for bit.
+
+Each worker thread of a scan keeps one _Workspace: tau, sqfree, S and a
+scratch block for the sieve's log sums and then the ratios, reused by
+every window it compares, so a warm window allocates no array of its
+length. verify_range makes them and drops them when it returns; the
+module keeps no state.
 
 On the exact path the weights are clamped and C is replaced by a stand-in
 c that orders every tau / S as C does (see _weight_table), so S is int32
@@ -22,12 +32,13 @@ or int64; clamping lowers only ratios below 1, and S(1) = 1.
 
 The integer arrays are as narrow as a proven bound allows. Each value the
 sieve gives tau is the tau of a divisor of some n <= hi, and divisors
-pair up around sqrt(n), so it is at most 2 sqrt(hi): int16 below 2^28,
-int32 below 2^60. acc stays below 8.5 log2 hi: uint8 below 2^28, uint16
-above. S takes the weight table's dtype: int32 when c's numerator times
-the sum of the clamped weights and c's denominator times 2 sqrt(n_max)
-stay below 2^31. tau is widened to it only to be multiplied by c's
-denominator.
+pair up around sqrt(n), so it is at most 2 sqrt(hi), or 4 tau(n / p^2) <=
+2 sqrt(hi) at the multiples of the square of a prime p above the cube
+root: int16 below 2^28, int32 below 2^60. acc and the second log sum stay
+below 8.5 log2 hi: uint8 below 2^28, uint16 above. S takes the weight
+table's dtype: int32 when c's numerator times the sum of the clamped
+weights and c's denominator times 2 sqrt(n_max) stay below 2^31. tau is
+widened to it only to be multiplied by c's denominator.
 
 A window takes its counts, equality list and maximum from one candidate
 set that provably holds every violation and equality (_compare_window).
@@ -75,13 +86,14 @@ __all__ = [
 FLOAT_REL_TOL = 1e-9  # comparison tolerance on the non-integer-eta path
 _RECORD_DIGITS = 4300  # Python's default digit limit on int <-> text, json's too
 
-# Segments are compared this many n at a time, which bounds the numpy
-# temporaries of a segment: tracemalloc peaks at 12.7 MB for a 2^22 segment
-# at the top of [1, 10^8] (13.6 MB with its equality list), in the compare
-# step, against 51 MB as one window. With two threads scanning such segments side by side,
-# windows of 2^19, 2^20 and 2^21 took 194-240 ms per segment, too close to
-# rank, and 2^18 and whole 2^22 segments 217-274 ms (two runs each, 2-core
-# Xeon); 2^20 is the middle of the flat range.
+# Segments are compared this many n at a time, in a workspace of this
+# many n per worker thread: 11.5 MB at the top of [1, 10^8]. With it warm,
+# a 2^22 segment there peaks at 0.5 MB in tracemalloc (1.5 MB with its
+# equality list; 12.1 MB when it makes the workspace). The scan of
+# [1, 10^8] on two threads took 2.30, 1.68, 1.27, 1.20 and 1.18 s with
+# windows of 2^18 to 2^22 (medians of 3, 2-core Xeon), at 46, 58, 81 and
+# 127 MB peak RSS for 2^19 to 2^22; 2^20 keeps most of the speed and the
+# RSS of a scan of fresh windows.
 _WINDOW = 1 << 20
 
 
@@ -331,15 +343,38 @@ _PERIOD_DIVISORS = tuple(sorted(
 ))
 
 
-def _tile(pattern: np.ndarray, lo: int, length: int, dtype) -> np.ndarray:
-    """pattern[(lo + i) % _PERIOD] for i in [0, length), in dtype."""
-    out = np.empty(length, dtype=dtype)
+class _Workspace:
+    """One worker's window buffers, reused from window to window: tau,
+    sqfree and S, each made on first use for size n and again only for
+    another dtype, and a scratch block of block_bytes per n. A kernel
+    returns views into them, valid until its next window. verify_range
+    makes one per worker thread for the scan; a kernel called without one
+    makes its own, so it allocates as a fresh array would."""
+
+    def __init__(self, size: int, block_bytes: int):
+        self.size, self.block_bytes = size, block_bytes
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, dtype, length: int, width: int = 1) -> np.ndarray:
+        """The first width * length elements of buffer name in dtype."""
+        arr = self._arrays.get(name)
+        if arr is None or arr.dtype != dtype or len(arr) < width * length:
+            arr = np.empty(width * max(self.size, length), dtype=dtype)
+            self._arrays[name] = arr
+        return arr[: width * length]
+
+    def block(self, length: int) -> np.ndarray:
+        """The scratch block's first block_bytes * length bytes, as uint8."""
+        return self.take("block", np.uint8, length, self.block_bytes)
+
+
+def _tile(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """out[i] = pattern[(lo + i) % _PERIOD] for every i, in out's dtype."""
     off, i = lo % _PERIOD, 0
-    while i < length:
-        m = min(_PERIOD - off, length - i)
-        out[i : i + m] = pattern[off : off + m]
+    while i < len(out):
+        m = min(_PERIOD - off, len(out) - i)
+        np.copyto(out[i : i + m], pattern[off : off + m])
         i, off = i + m, 0
-    return out
 
 
 def _tau_start() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -371,54 +406,90 @@ def _tau_start() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _tau_segment(
-    lo: int, hi: int, start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int]
+    lo: int, hi: int, start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int],
+    logs: list[int] | None = None, ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
 
-    tau, acc and sqfree start from a copy of start = _tau_start(), which
-    holds every p^j | n with p^j | _PERIOD. A strided sieve adds the other
-    prime powers: for each sieving prime p with p^2 <= hi (primes must
-    hold every one, ascending) and each q = p^j <= hi that does not divide
-    _PERIOD, the multiples of q in the segment are the basic slice
-    [(-lo) % q :: q]. At j = 1 tau doubles; at j >= 2 tau is divided by j
-    and multiplied by j + 1. The division is exact: every multiple of p^j
-    is a multiple of p^(j-1), whose step or the start left the factor j in
-    its tau. Each step adds r_p = _log_weight(p) to acc. A p | _PERIOD
-    with p^2 > hi divides n at most once, which the start holds. So tau
-    ends as prod (v_p(n) + 1) and acc as the sum of v_p(n) r_p over the
-    primes p | P of the part P of n built from the sieving primes and
-    2, 3, 5, 7. The cofactor n / P has no prime factor p with p^2 <= hi,
-    so it is 1 or a single prime q > 7 with q^2 > hi: two such primes
-    would make it larger than hi.
+    primes must hold every sieving prime, p^2 <= hi, ascending; logs their
+    r_p = _log_weight(p), built once per scan, or None to compute them
+    here. tau, acc and sqfree start from a copy of start = _tau_start(),
+    which holds every p^j | n with p^j | _PERIOD. A strided sieve adds the
+    other powers of the small sieving primes, p <= max(7, icbrt(hi)): for
+    each q = p^j <= hi that does not divide _PERIOD, the multiples of q in
+    the window are the basic slice [(-lo) % q :: q]. At j = 1 tau doubles;
+    at j >= 2 tau is divided by j and multiplied by j + 1. The division is
+    exact: every multiple of p^j is a multiple of p^(j-1), whose step or
+    the start left the factor j in its tau. Each step adds r_p to acc. A
+    p | _PERIOD with p^2 > hi divides n at most once, which the start holds.
 
-    acc tells the two apart. P has at most log2 P prime factors, each
-    with |r_p - 8 log2 p| < 1/2, so 7.5 log2 P < acc < 8.5 log2 P, or
-    acc = 0 at P = 1. Let 2^E <= hi < 2^(E + 1) and n in [2^b, 2^(b + 1)),
-    so b <= E. Without a cofactor acc >= 7.5 log2 n >= 7.5 b >= 8b - E.
-    With one, q > 2^(E/2): n = q at P = 1, where acc = 0 and
-    E < 2(b + 1) < 8b, as n >= 11 gives b >= 3; else n >= 2q > 22, so
-    E >= b >= 4, and acc < 8.5 log2 (n / q) < 8.5 (b + 1 - E/2), which is
-    at most 8b - E when 0.5 b + 8.5 <= 3.25 E, true for b <= E and E >= 4.
-    So the cofactor is a prime exactly where acc < max(8b - E, 0): one
-    shift of tau by that mask, by 1 there and by 0 elsewhere, the mask
-    taken one power-of-two block at a time.
+    A large sieving prime, p > max(7, icbrt(hi)), has p^3 > hi, so an
+    n <= hi has at most two of them, counted with multiplicity. Such a p
+    takes no pass over tau or acc: it adds r_p to big, a second log sum, at
+    its multiples and again at those of p^2, where it clears sqfree. Let
+    2^E <= hi < 2^(E + 1). One large prime leaves big = r_p <
+    8 log2 p + 1/2 <= 4 log2 hi + 1/2, so big <= 4E + 4; two leave
+    big > 8 log2 (p1 p2) - 1 > (16/3) log2 hi - 1 > 4E + 4, as E >= 6
+    once a large prime exists (p >= 11, so hi >= 121), and
+    big < 8 log2 hi + 1, so big <= 8E + 8. So their count k is
+    ceil(big / (4E + 4)), computed in place as
+    ceil(ceil(big / 2) / (2E + 2)).
+
+    acc + big is then the sum of v_p(n) r_p over the primes p | P of the
+    part P of n built from the sieving primes and 2, 3, 5, 7. The cofactor
+    n / P has no prime factor p with p^2 <= hi, so it is 1 or a single
+    prime q > 7 with q^2 > hi: two such primes would make it larger than
+    hi. P has at most log2 P prime factors, each with
+    |r_p - 8 log2 p| < 1/2, so 7.5 log2 P < acc + big < 8.5 log2 P, or 0
+    at P = 1. Let n be in [2^b, 2^(b + 1)), so b <= E. Without a cofactor
+    acc + big >= 7.5 log2 n >= 7.5 b >= 8b - E. With one, q > 2^(E/2):
+    n = q at P = 1, where the sum is 0 and E < 2(b + 1) < 8b, as n >= 11
+    gives b >= 3; else n >= 2q > 22, so E >= b >= 4, and the sum is below
+    8.5 log2 (n / q) < 8.5 (b + 1 - E/2), which is at most 8b - E when
+    0.5 b + 8.5 <= 3.25 E, true for b <= E and E >= 4. So the cofactor is
+    a prime exactly where acc + big < max(8b - E, 0), a flag that
+    overwrites acc one power-of-two block at a time. Two large primes
+    leave no room for a cofactor above sqrt(hi), so tau shifts once, by
+    the flag plus k, at most 2. That multiplies tau by 4 at the multiples
+    of a large p^2, where v_p(n) + 1 is 3, so they take 3/4 afterwards.
 
     tau and acc take the dtypes of _tau_dtypes(hi), which hold every value
-    they pass through: each value of tau, also between the division and the
-    multiplication, is the tau of a divisor of n, so at most 2 sqrt(hi);
-    acc only grows, to below 8.5 log2 P <= 8.5 log2 hi, under 238 below
-    2^28. The returned tau is therefore int16 below 2^28; callers widen it
-    before any arithmetic that could leave that range.
+    they pass through. Each value of tau, also between the division and
+    the multiplication, is the tau of a divisor of n, so at most
+    2 sqrt(hi), but at the multiples of a large p^2 before the 3/4: there
+    it is 4 tau(n / p^2) <= 8 (hi / p^2)^(1/2) < 8 hi^(1/6) <= 2 sqrt(hi),
+    as hi >= 64. acc + big < 8.5 log2 hi, under 238 below 2^28, bounds acc
+    and big, and k's steps keep big at most 8E + 9. The returned tau is
+    therefore int16 below 2^28; callers widen it before any arithmetic
+    that could leave that range. acc and big take the first bytes of the
+    workspace's scratch block; tau and sqfree are its buffers.
     """
     length = hi - lo + 1
     tau_dtype, acc_dtype = _tau_dtypes(hi)
-    tau, acc, sqfree = (_tile(a, lo, length, dt)
-                        for a, dt in zip(start, (tau_dtype, acc_dtype, bool)))
-    for p in primes:
-        if p * p > hi:
-            break
-        r = _log_weight(p)
+    width = np.dtype(acc_dtype).itemsize
+    ws = ws or _Workspace(length, 2 * width)
+    tau, sqfree = ws.take("tau", tau_dtype, length), ws.take("sqfree", bool, length)
+    acc, big = ws.block(length)[: 2 * width * length].view(acc_dtype).reshape(2, length)
+    for a, out in zip(start, (tau, acc, sqfree)):
+        _tile(a, lo, out)
+    big.fill(0)
+    cube = max(7, integer_kth_root(hi, 3))
+    squares = []  # (first index, p^2) of each large p^2 with a multiple here
+    for p, r in zip(primes, map(_log_weight, primes) if logs is None else logs):
         q, j = p, 1
+        if q * q > hi:
+            break
+        if p > cube:
+            s = (-lo) % p
+            if s < length:
+                big[s::p] += r
+                q *= p
+                s = (-lo) % q
+                if s < length:
+                    big[s::q] += r
+                    sqfree[s::q] = False
+                    squares.append((s, q))
+            continue
         while _PERIOD % q == 0:  # the start holds p^j
             q, j = q * p, j + 1
         while q <= hi:
@@ -435,11 +506,20 @@ def _tau_segment(
             q *= p
             j += 1
     E = hi.bit_length() - 1
-    mask = np.empty(length, dtype=bool)
+    acc += big  # the log of P
+    big += 1  # big becomes k = ceil(ceil(big / 2) / (2E + 2))
+    big >>= 1
+    big += 2 * E + 1
+    big //= 2 * E + 2
     for b in range(lo.bit_length() - 1, E + 1):
         a, z = max(lo, 1 << b) - lo, min(hi, (2 << b) - 1) - lo + 1
-        np.less(acc[a:z], max(8 * b - E, 0), out=mask[a:z])
-    tau <<= mask  # a shift by 0 or 1: no mask pass over tau
+        np.less(acc[a:z], max(8 * b - E, 0), out=acc[a:z])
+    acc += big
+    tau <<= acc  # one pass over tau for the cofactor and the large primes
+    for s, q in squares:
+        view = tau[s::q]
+        view >>= 2
+        view *= 3
     return tau, sqfree
 
 
@@ -458,8 +538,10 @@ def _period_pattern(w: np.ndarray) -> np.ndarray | None:
     return pattern
 
 
-def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
-                     pattern: np.ndarray | None) -> np.ndarray:
+def _harvest_segment(
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
+    ws: _Workspace | None = None,
+) -> np.ndarray:
     """S(n) for every n in [lo, hi]: each d with d^k <= hi contributes
     weight(d) to its multiples n >= d^k.
 
@@ -469,12 +551,14 @@ def _harvest_segment(lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
     on. Every value of S is a sum of w[d] over distinct d | n at every
     step, so it stays in [0, sum of w], and the order of integer adds does
     not matter. Float64 weights take no pattern and add in ascending d.
+    S is the workspace's buffer.
     """
     length = hi - lo + 1
+    S = (ws or _Workspace(length, 0)).take("S", w.dtype, length)
     if pattern is None:
-        S = np.zeros(length, dtype=w.dtype)
+        S.fill(0)
     else:
-        S = _tile(pattern, lo, length, w.dtype)
+        _tile(pattern, lo, S)
     d = 1
     while d**cfg.k <= hi:
         if pattern is None or _PERIOD % d:
@@ -533,14 +617,16 @@ def _merge(
 
 def _scan_segment(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int], collect: bool,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int], logs: list[int],
+    collect: bool, ws: _Workspace,
 ) -> _SegmentResult:
-    """[lo, hi] compared _WINDOW n at a time, merged into one result.
-    Clamped weights lower only ratios below 1; a best ratio below 1 (no
-    prime in a tiny segment) is redone n by n, so records keep exact S."""
+    """[lo, hi] compared _WINDOW n at a time in the worker's workspace,
+    merged into one result. Clamped weights lower only ratios below 1; a
+    best ratio below 1 (no prime in a tiny segment) is redone n by n, so
+    records keep exact S."""
     res = _merge(lo, hi, [
         _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, pattern, start, primes,
-                        collect)
+                        collect, logs, ws)
         for a in range(lo, hi + 1, _WINDOW)
     ], collect)
     if cfg.exact and res.max_num < res.max_den:
@@ -584,9 +670,14 @@ def _exact_argmax(
     return best
 
 
+def _ratio_dtype(cfg: CensusConfig) -> type:
+    return np.float32 if cfg.exact else np.float64
+
+
 def _compare_window(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
     start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int], collect: bool,
+    logs: list[int] | None = None, ws: _Workspace | None = None,
 ) -> _SegmentResult:
     """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
     (the stand-in c on the exact path), S in the dtype of w.
@@ -599,18 +690,27 @@ def _compare_window(
     tau (< 2^24) exactly and errs by about 1.2e-7 in S and the quotient. A
     float-path violation or equality has tau >= C S (1 - 1e-9) if C S >= 1,
     else tau >= 1 > C S; float64 gives a gathered subset the same bits.
+
+    The ratios fill the workspace's scratch block, whose sieve scratch is
+    spent by then, and the candidate mask the sqfree buffer, once it has
+    masked the ratios: no array spans the window outside the workspace.
     """
-    tau, sqfree = _tau_segment(lo, hi, start, primes)
-    S = _harvest_segment(lo, hi, cfg, w, pattern)
-    ratio = np.divide(tau, S, dtype=np.float32) if cfg.exact else tau / S
+    length, rdt = hi - lo + 1, _ratio_dtype(cfg)
+    ws = ws or _Workspace(length, np.dtype(rdt).itemsize)
+    tau, sqfree = _tau_segment(lo, hi, start, primes, logs, ws)
+    S = _harvest_segment(lo, hi, cfg, w, pattern, ws)
+    ratio = ws.block(length).view(rdt)[:length]
+    np.divide(tau, S, out=ratio, dtype=rdt)
     if cfg.squarefree_only:
-        ratio[~sqfree] = -np.inf
+        np.logical_not(sqfree, out=sqfree)
+        np.copyto(ratio, -np.inf, where=sqfree)
     peak = float(ratio.max())
     if peak == float("-inf"):
         # nothing eligible (squarefree_only); (0, 1, -1) loses every merge
         return _SegmentResult(lo, hi, 0, 0, 0, 1, -1, [] if collect else None)
     C = cfg.constant
-    cand = np.flatnonzero(ratio >= min(peak, float(C)) * (1.0 - 1e-5))
+    cand = np.flatnonzero(
+        np.greater_equal(ratio, min(peak, float(C)) * (1.0 - 1e-5), out=sqfree))
     t, s = tau[cand], S[cand]
     if cfg.exact:
         lhs, rhs = C.denominator * t.astype(s.dtype), C.numerator * s
@@ -770,7 +870,15 @@ def verify_range(
     pattern = _period_pattern(w)
     start = _tau_start()
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
+    logs = [_log_weight(p) for p in primes]
     segments = _segments(cfg)
+    # one workspace per worker thread, for this scan only
+    local = threading.local()
+    size = min(_WINDOW, cfg.segment_size, cfg.n_max)
+    block_bytes = np.dtype(_ratio_dtype(cfg)).itemsize
+
+    def make_workspace() -> None:
+        local.ws = _Workspace(size, block_bytes)
 
     ckpt = None
     if checkpoint is not None:
@@ -793,8 +901,8 @@ def verify_range(
         # check into the results.
         check_stop()
         lo, hi = seg
-        res = _scan_segment(lo, hi, scan_cfg, w, pattern, start, primes,
-                            collect_equalities)
+        res = _scan_segment(lo, hi, scan_cfg, w, pattern, start, primes, logs,
+                            collect_equalities, local.ws)
         if ckpt is not None:
             ckpt.record(res)
         return res
@@ -802,7 +910,7 @@ def verify_range(
     # Results are read in submission order, with a stop check before each.
     # On a stop or an exception the queued segments are cancelled; the
     # running ones finish and reach the checkpoint before it closes.
-    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+    pool = ThreadPoolExecutor(max_workers=cfg.workers, initializer=make_workspace)
     try:
         futures = [pool.submit(run_one, seg) for seg in pending]
         for seg, fut in zip(pending, futures):

@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 from fractions import Fraction
 from math import isqrt, log2
@@ -94,6 +96,18 @@ _TAU_EDGE_WINDOWS = (
     # lo % period is 0, 1 and period - 1; a window across a multiple of it
     + [(_MP + e, _MP + e + 300) for e in (0, 1, -1)]
     + [(_MP - 300, _MP + 300)]
+    # windows that end at m^3 - 1, m^3 and m^3 + 1, where the prime next to
+    # m changes side of the cube root (icbrt(hi) = 10, 12, 462 and 463 move
+    # up by one at m^3)
+    + [(m**3 - 300, m**3 + e) for m in (11, 13, 463, 464) for e in (-1, 0, 1)]
+    # windows that hold p^2 and 2 p^2 for the smallest large p of their hi:
+    # 11 at hi = 247 and 1000, 17 at 3000 and 37 at 40000
+    + [(p * p - 3, hi) for p, hi in ((11, 247), (11, 1000), (17, 3000), (37, 40000))]
+    # windows that hold p1 p2 and p2^2 for two large primes p1 < p2
+    + [(p1 * p2 - 50, p2 * p2 + 50)
+       for p1, p2 in ((97, 101), (467, 479), (997, 1009), (9929, 9931))]
+    # windows that hold p q for a large p and a prime q > sqrt(hi)
+    + [(p * q - 100, p * q + 100) for p, q in ((11, 89), (467, 214129), (9973, 10007))]
 )
 
 
@@ -455,6 +469,16 @@ class TestSegmentKernels:
                 for lo in range(1, hi + 1):
                     t, sq = _tau_segment(lo, hi, _START, primes)
                     assert list(zip(t.tolist(), sq.tolist())) == want[lo : hi + 1], (lo, hi)
+
+    def test_tau_segment_across_the_first_cube_roots(self):
+        # every hi from 11^2, where the first large prime sieves, to 11^3,
+        # where 11 turns small, with lo = hi - 40
+        want = [(0, False)] + [(tau(f), all(a == 1 for a in f.exponents))
+                               for f in map(factorize, range(1, 1332))]
+        for hi in range(121, 1332):
+            for primes in (sieve_primes(isqrt(hi)), sieve_primes(1331)):
+                t, sq = _tau_segment(hi - 40, hi, _START, primes)
+                assert list(zip(t.tolist(), sq.tolist())) == want[hi - 40 : hi + 1], hi
 
     @pytest.mark.parametrize("lo, hi", [(15, 15 + _P), (_P - 5, 3 * _P + 5)])
     def test_tau_segment_spans_periods(self, lo, hi):
@@ -852,6 +876,31 @@ class TestVerifyRange:
             assert rec == _oracle_segment(rec["lo"], rec["hi"], cfg, rows)
 
 
+_WS_N_MAX = (1 << 28) + (1 << 21)
+_WS_PRIMES = sieve_primes(isqrt(_WS_N_MAX))
+_WS_LOGS = [_log_weight(p) for p in _WS_PRIMES]
+_WORKSPACE_CONFIGS = [CensusConfig(n_max=_WS_N_MAX),
+                      CensusConfig(n_max=_WS_N_MAX, squarefree_only=True),
+                      CensusConfig(n_max=_WS_N_MAX, eta=7.5)]
+
+
+@st.composite
+def _workspace_windows(draw) -> list[tuple[int, int]]:
+    """Up to six windows of 1 to 4096 n, anywhere in [1, 2^28 + 2^21] or
+    ending within 4096 of 2^28 on either side, and one of _WINDOW n."""
+    windows = []
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.integers(1, 4096))
+        if draw(st.booleans()):
+            hi = (1 << 28) + draw(st.integers(-4096, 4096))
+        else:
+            hi = draw(st.integers(length, _WS_N_MAX))
+        windows.append((max(1, hi - length + 1), hi))
+    hi = draw(st.integers(census._WINDOW, _WS_N_MAX))
+    windows.insert(draw(st.integers(0, len(windows))), (hi - census._WINDOW + 1, hi))
+    return windows
+
+
 class TestWindows:
     @given(case=_window_cases(), collect=st.booleans())
     @example(case=(CensusConfig(n_max=4, squarefree_only=True), 4, 4), collect=True)
@@ -872,6 +921,86 @@ class TestWindows:
                                      primes, collect)
         want = _compare_reference(lo, hi, scan_cfg, w, primes, collect)
         assert asdict(got) == asdict(want)
+
+    @given(windows=_workspace_windows(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_reused_workspace_matches_fresh_arrays(self, windows, data):
+        # one workspace through a sequence of windows, some of them on
+        # either side of 2^28, where tau and acc widen: every kernel gives
+        # what it gives on fresh arrays, so no value of an earlier window
+        # leaks into a later one
+        cfg = data.draw(st.sampled_from(_WORKSPACE_CONFIGS))
+        w, c = _weight_table(cfg)
+        scan_cfg = cfg if c is None else replace(cfg, constant=c)
+        pattern = _period_pattern(w)
+        ws = census._Workspace(census._WINDOW, np.dtype(census._ratio_dtype(cfg)).itemsize)
+        for lo, hi in windows:
+            collect = data.draw(st.booleans())
+            t, sq = (a.copy() for a in _tau_segment(lo, hi, _START, _WS_PRIMES,
+                                                     _WS_LOGS, ws))
+            want_t, want_sq = _tau_segment(lo, hi, _START, _WS_PRIMES)
+            assert t.dtype == want_t.dtype
+            assert np.array_equal(t, want_t) and np.array_equal(sq, want_sq), (lo, hi)
+            S = _harvest_segment(lo, hi, scan_cfg, w, pattern, ws)
+            assert S.tobytes() == _harvest_segment(lo, hi, scan_cfg, w, pattern).tobytes()
+            got = census._compare_window(lo, hi, scan_cfg, w, pattern, _START, _WS_PRIMES,
+                                         collect, _WS_LOGS, ws)
+            want = census._compare_window(lo, hi, scan_cfg, w, pattern, _START,
+                                          _WS_PRIMES, collect)
+            assert asdict(got) == asdict(want), (lo, hi)
+
+    def test_warm_top_window_allocates_no_window_array(self):
+        # with its workspace warm, the top window of [1, 10^8] allocates only
+        # per-candidate arrays and small lists: a fresh window allocates
+        # about 12 MB
+        cfg = CensusConfig(n_max=10**8)
+        w, c = _weight_table(cfg)
+        scan_cfg, pattern = replace(cfg, constant=c), _period_pattern(w)
+        primes = sieve_primes(10**4)
+        logs = [_log_weight(p) for p in primes]
+        ws = census._Workspace(census._WINDOW, 4)  # 4 bytes per n: float32 ratios
+        lo, hi = 10**8 - 2**20 + 1, 10**8
+
+        def run():
+            return census._compare_window(lo, hi, scan_cfg, w, pattern, _START, primes,
+                                          False, logs, ws)
+
+        want = run()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert asdict(got) == asdict(want)
+        assert peak < 1.5e6, peak
+
+    def test_long_and_short_windows_per_worker(self, tmp_path):
+        # segments of _WINDOW + 12345 n, so each worker's workspace takes a
+        # full window and then a short one in turn: the report and the
+        # checkpoint records are the same for one worker, two, and four
+        # switching threads often, more than the cores
+        size = census._WINDOW + 12345
+        cfg = CensusConfig(n_max=4 * size - 1000, segment_size=size)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 4):
+                path = tmp_path / f"scan{workers}.ckpt"
+                report = verify_range(replace(cfg, workers=workers), checkpoint=str(path),
+                                      collect_equalities=True)
+                header, *records = path.read_bytes().splitlines(keepends=True)
+                out.append((report.to_json(), report.equality_ns, header, sorted(records)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out[0] == out[1] == out[2]
+        assert len(out[0][3]) == 4 and out[0][1]
 
     @pytest.mark.parametrize("squarefree_only", [False, True])
     def test_windows_of_one_segment_match_small_segments(self, squarefree_only):
