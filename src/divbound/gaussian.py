@@ -12,11 +12,15 @@ Every loop over l walks one list, _support(x, gamma): the (l, gamma_l)
 with l^2 < x and gamma_l != 0, ascending. discrepancy_table reads it once
 and never materializes a_n: it walks n <= x in dense numpy blocks of
 _BLOCK values, where each support point l adds gamma_l at l^2 + m^2 for
-the m >= 1 coprime to l that land in the block (no index repeats for one
-l, so a fancy-indexed add is exact). Each block adds its slice of
-multiples of d to A_d and is dropped, so memory depends on the block size
-and not on x. The M_d summands are built once per table and added per d
-in main_term_M's order, so both give the same bits.
+the m >= 1 that land in the block and are coprime to l, a mask over the m
+range with the multiples of each prime of l cleared (no index repeats for
+one l, so a fancy-indexed add is exact). The primes of every l come from
+the totient sieve. Each block adds its slice of multiples of d to A_d for
+the d with rho(d) > 0 (the other A_d are 0) and is freed before the next,
+so memory depends on the block size and not on x. The M_d summands are
+built once per table as arrays; each M_d adds those with gcd(l, d) = 1 by
+np.cumsum, one at a time in ascending l, so main_term_M and the table
+give the bits of a plain += loop.
 
 The sums stay exact integers: every coefficient is scaled by L, the least
 common multiple of their denominators, and A_d is returned as
@@ -51,7 +55,7 @@ __all__ = [
 ]
 
 # Largest x a table accepts. At this x, `gaussian --x 10^8 --d-max 10`
-# peaks at 60 MB RSS and runs in 13 s on a 2-core Xeon (Python 3.11.7,
+# peaks at 46 MB RSS and runs in 6-7 s on a 2-core Xeon (Python 3.11.7,
 # numpy 2.4.6): the blocks bound memory, so the ceiling caps time.
 DEFAULT_MAX_X = 10**8
 DEFAULT_COST_CEILING = 10**9
@@ -264,30 +268,36 @@ def congruence_sum_A_via_residues(
     return total
 
 
-def _totients(limit: int) -> list[int]:
-    """phi(l) for 0 <= l <= limit (phi(0) = 0), from the package's one
-    prime sieve."""
+def _phi_and_primes(limit: int) -> tuple[list[int], list[list[int]]]:
+    """phi(l) for 0 <= l <= limit (phi(0) = 0) and the distinct primes of
+    each l, ascending, from one pass over the package's one prime sieve."""
     phi = np.arange(limit + 1, dtype=np.int64)
+    primes_of: list[list[int]] = [[] for _ in range(limit + 1)]
     for p in sieve_primes(limit):
         phi[p::p] -= phi[p::p] // p
-    return phi.tolist()
+        for l in range(p, limit + 1, p):
+            primes_of[l].append(p)
+    return phi.tolist(), primes_of
 
 
-def _main_terms(x: int, support: list) -> list[tuple[int, float]]:
-    """(l, gamma_l * (phi(l)/l) * sqrt(x - l^2)) over the support list."""
-    phis = _totients(isqrt(x))
-    return [(l, float(c) * (phis[l] / l) * sqrt(x - l * l)) for l, c in support]
+def _main_terms(x: int, support: list, phis: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The support points l and their terms gamma_l * (phi(l)/l) *
+    sqrt(x - l^2), as two arrays in ascending l."""
+    ls = np.array([l for l, _ in support], dtype=np.int64)
+    terms = [float(c) * (phis[l] / l) * sqrt(x - l * l) for l, c in support]
+    return ls, np.array(terms, dtype=np.float64)
 
 
-def _scaled_main_sum(terms: list[tuple[int, float]], d: int, count: int) -> float:
-    """(count/d) times the terms with gcd(l, d) = 1, added in ascending l
-    by plain += (the builtin sum compensates from Python 3.12)."""
+def _scaled_main_sum(ls: np.ndarray, terms: np.ndarray, d: int, count: int) -> float:
+    """(count/d) times the terms with gcd(l, d) = 1. np.cumsum adds them
+    one at a time in ascending l, the bits of a plain += loop (np.sum
+    adds pairwise and the builtin sum compensates from Python 3.12)."""
     if count == 0:
         return 0.0
-    total = 0.0
-    for l, term in terms:
-        if gcd(l, d) == 1:
-            total += term
+    keep = np.ones(len(ls), dtype=bool)
+    for p, _ in factorize(d).factors:
+        keep &= ls % p != 0
+    total = float(np.cumsum(terms[keep])[-1]) if keep.any() else 0.0
     return count / d * total
 
 
@@ -296,7 +306,8 @@ def main_term_M(x: int, d: int, gamma: GammaSpec) -> float:
     gamma_l * (phi(l)/l) * sqrt(x - l^2), in double precision."""
     if x < 1 or d < 1:
         raise ValueError("x and d must be >= 1")
-    return _scaled_main_sum(_main_terms(x, _support(x, gamma)), d, rho(d)[0])
+    phis, _ = _phi_and_primes(isqrt(x))
+    return _scaled_main_sum(*_main_terms(x, _support(x, gamma), phis), d, rho(d)[0])
 
 
 @dataclass(frozen=True)
@@ -346,42 +357,58 @@ def discrepancy_table(
         )
     _check_x(x)
     support = _support(x, gamma)
-    sums, scale = _block_sums(x, d_max, support)
-    terms = _main_terms(x, support)
+    phis, primes_of = _phi_and_primes(isqrt(x))
+    counts = [rho(d)[0] for d in range(1, d_max + 1)]
+    ds = [d for d in range(1, min(d_max, x) + 1) if counts[d - 1]]
+    sums, scale = _block_sums(x, ds, support, primes_of)
+    main = _main_terms(x, support, phis)
     rows = []
     total_err = 0.0
-    for d in range(1, d_max + 1):
-        a_d = Fraction(sums[d] if d <= x else 0, scale)
+    for d, count in enumerate(counts, 1):
+        a_d = Fraction(sums.get(d, 0), scale)
         if a_d.denominator == 1:
             a_d = int(a_d)
-        count, _ = rho(d)
-        m_d = _scaled_main_sum(terms, d, count)
+        m_d = _scaled_main_sum(*main, d, count)
         err = abs(float(a_d) - m_d)
         total_err += err
         rows.append(GaussianRow(d, a_d, count, m_d, err))
     return GaussianTable(x, d_max, tuple(rows), total_err)
 
 
-def _block_sums(x: int, d_max: int, support: list) -> tuple[list[int], int]:
-    """L * A_d(x) for 0 <= d <= min(d_max, x) (index 0 unused) and the
-    scale L, the least common multiple of the denominators of the gamma_l.
-    A_d(x) = 0 for d > x, which has no multiple in [1, x]."""
+def _block_sums(
+    x: int, ds: list[int], support: list, primes_of: list[list[int]]
+) -> tuple[dict[int, int], int]:
+    """L * A_d(x) for each d in ds and the scale L, the least common
+    multiple of the denominators of the gamma_l. The m coprime to l are a
+    mask over the block's m range, each prime of l cleared by one slice.
+
+    The table passes the d <= x with rho(d) > 0; every other A_d(x) is 0.
+    A d > x has no multiple in [1, x]. A d with rho(d) = 0 has 4 | d or a
+    prime q = 3 (mod 4) with q | d, and divides no l^2 + m^2 with
+    gcd(l, m) = 1. Coprime l and m are not both even, so l^2 + m^2 is not
+    0 (mod 4). If q | l^2 + m^2, q divides neither l nor m (else both), so
+    (l/m)^2 = -1 (mod q), which has no solution for q = 3 (mod 4)."""
     scale = lcm(1, *(c.denominator for _, c in support))
-    scaled = [(l, int(c * scale)) for l, c in support]
+    scaled = [(l, int(c * scale), primes_of[l]) for l, c in support]
     dtype = np.int64 if scale * x < 1 << 63 else object
-    sums = [0] * (min(d_max, x) + 1)
+    sums = dict.fromkeys(ds, 0)
     for lo in range(1, x + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x)
         a = np.zeros(hi - lo + 1, dtype=dtype)
-        for l, c in scaled:
+        for l, c, primes in scaled:
             ll = l * l
             if ll >= hi:
                 break
             # the m >= 1 with lo <= ll + m^2 <= hi
             m_lo = isqrt(lo - ll - 1) + 1 if lo - ll > 1 else 1
             m = np.arange(m_lo, isqrt(hi - ll) + 1, dtype=np.int64)
-            m = m[np.gcd(m, l) == 1]
+            if primes:
+                keep = np.ones(len(m), dtype=bool)
+                for p in primes:
+                    keep[(-m_lo) % p :: p] = False
+                m = m[keep]
             a[ll - lo + m * m] += c
-        for d in range(1, min(d_max, hi) + 1):
+        for d in ds:
             sums[d] += int(a[(-lo) % d :: d].sum())
+        del a  # freed before the next block is allocated
     return sums, scale

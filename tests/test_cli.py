@@ -283,6 +283,23 @@ class TestGaussianCommand:
             "ad7aa98149e00525e69ebd98b333fcb7e4272ac2bbe1a4700e612ffdf7a7d2db"
         )
 
+    @pytest.mark.parametrize(
+        "r, digest",
+        [
+            ("1", "14a978d8837dc2cac9791860b41b841090b010a442db6d3f645a28595045a1cb"),
+            ("2", "3d1a127c60a5099dfcdc2dd176aa0a9eb3f061c628f76adde905dedbc3207c4b"),
+        ],
+        ids=["r1", "r2"],
+    )
+    def test_pinned_roadmap_size_digest(self, capsys, r, digest):
+        # the end-to-end size of the roadmap, byte for byte as the
+        # gcd-filtered blocks and the += main sums wrote it
+        code, out, _ = run_cli(
+            capsys, "gaussian", "--x", "1000000", "--d-max", "1000", "--r", r
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_pinned_table_mode_digest(self, capsys, tmp_path):
         path = tmp_path / "gamma.txt"
         path.write_text(

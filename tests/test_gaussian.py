@@ -226,10 +226,11 @@ class TestMainTerm:
         assert got == pytest.approx(M5_AT_100, rel=1e-12)
 
     def test_totient_table_matches_factorize(self):
-        phis = gaussian._totients(5000)
-        assert phis[0] == 0
+        phis, primes_of = gaussian._phi_and_primes(5000)
+        assert phis[0] == 0 and primes_of[0] == []
         for l in range(1, 5001):
             assert phis[l] == euler_phi(factorize(l)), l
+            assert primes_of[l] == [p for p, _ in factorize(l).factors], l
 
     def test_bit_identical_to_factorized_totients(self):
         # the term and its summation order are those of the per-l
@@ -348,7 +349,7 @@ class TestBlockedTable:
     @settings(max_examples=150, deadline=None)
     @given(
         x=st.integers(1, 3000),
-        d_max=st.integers(1, 40),
+        d_max=st.integers(1, 100),
         block=st.integers(8, 128),
         gamma=gammas(),
     )
@@ -364,6 +365,8 @@ class TestBlockedTable:
             assert row.rho == count
             assert row.M.hex() == m.hex()
             assert row.abs_err.hex() == err.hex()
+            if count == 0:
+                assert row.A == 0 and type(row.A) is int, d
         total = 0.0
         for *_, err in expected:
             total += err
@@ -378,6 +381,19 @@ class TestBlockedTable:
                 mp.setattr(gaussian, "_BLOCK", block)
                 table = discrepancy_table(700, 30, g)
             assert [row.A for row in table.rows] == [e[1] for e in expected], block
+
+    def test_four_distinct_primes_of_l(self):
+        # 210, 330 and 390 are the l < sqrt(x) with four distinct primes;
+        # every block size starts blocks inside their m ranges
+        x = 160_000
+        g = GammaSpec(r=1)
+        seq = sequence_a(x, g)
+        expected = [congruence_sum_A(x, d, g, seq=seq) for d in range(1, 31)]
+        for block in (997, 4096, 65537):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gaussian, "_BLOCK", block)
+                table = discrepancy_table(x, 30, g)
+            assert [row.A for row in table.rows] == expected, block
 
     def test_tiny_coefficient_stays_exact(self):
         # L = 3 * 10^30: int64 blocks would overflow, object blocks do not
