@@ -6,23 +6,24 @@ segmented, and each segment is compared _WINDOW n at a time. In a window
 tau comes from a strided sieve over prime powers p^j <= hi, which updates
 tau in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
-Both start from patterns of period _PERIOD = 151200 in n, built once per
-scan and copied into every window. The tau start holds the p^j that
-divide _PERIOD, and the sieve adds the other p^j of the primes up to the
-cube root of hi. Alongside tau it sums acc, a fixed-point 8 log2 of the
-sieved part of n, with each r_p = round(8 log2 p) computed once per scan.
-A prime between the cube and the square root of hi divides n at most
-twice and touches only a second log sum, from which one shift of tau
-takes both the count of such primes and the single prime above sqrt(hi)
-that may be left over. The d that divide _PERIOD add to S their pattern
-and take their weight back below d^k; the others are added one strided
-slice per d. Only integer S takes the pattern: integer sums do not
-depend on the order of the adds, and float64 sums keep the ascending
+Both start from patterns of period _PERIOD = 151200 in n. The tau start,
+built once per scan, holds the p^j that divide _PERIOD, and the sieve
+adds the other p^j of the primes up to the cube root of hi. Alongside tau
+it sums acc, a fixed-point 8 log2 of the sieved part of n, with each
+r_p = round(8 log2 p) computed once per scan. A prime between the cube
+and the square root of hi divides n at most twice and touches only a
+second log sum, from which one shift of tau takes both the count of such
+primes and the single prime above sqrt(hi) that may be left over. S
+starts from the prefix pattern, the weights of the d | _PERIOD with
+d^k <= lo, and every other d adds its weight from max(lo, d^k) on, one
+strided slice per d. Only integer S takes the pattern: integer sums do
+not depend on the order of the adds, and float64 sums keep the ascending
 order of d bit for bit.
 
-Each worker thread of a scan keeps one _Workspace: tau, sqfree, S and a
-scratch block for the sieve's log sums and then the ratios, reused by
-every window it compares, so a warm window allocates no array of its
+Each worker thread of a scan keeps one _Workspace: tau, sqfree, S, a
+scratch block for the sieve's log sums and then the ratios, and the
+prefix pattern, rebuilt only when the window's prefix changes. All are
+reused from window to window, so a warm window allocates no array of its
 length. verify_range makes them and drops them when it returns; the
 module keeps no state.
 
@@ -53,6 +54,7 @@ import json
 import os
 import threading
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -311,9 +313,10 @@ def _weight_table(cfg: CensusConfig) -> tuple[np.ndarray, Fraction | None]:
 # segment kernels
 
 
-def _scan_primes(limit: int) -> list[int]:
-    """Sieving primes for a scan: the arith sieve, up to limit."""
-    return sieve_primes(limit)
+def _scan_primes(limit: int) -> list[tuple[int, int]]:
+    """The sieving primes p <= limit of a scan, ascending, each with its
+    r_p = _log_weight(p)."""
+    return [(p, _log_weight(p)) for p in sieve_primes(limit)]
 
 
 def _tau_dtypes(hi: int) -> tuple[type, type]:
@@ -346,14 +349,16 @@ _PERIOD_DIVISORS = tuple(sorted(
 class _Workspace:
     """One worker's window buffers, reused from window to window: tau,
     sqfree and S, each made on first use for size n and again only for
-    another dtype, and a scratch block of block_bytes per n. A kernel
-    returns views into them, valid until its next window. verify_range
-    makes one per worker thread for the scan; a kernel called without one
-    makes its own, so it allocates as a fresh array would."""
+    another dtype, a scratch block of block_bytes per n, and the prefix
+    pattern. A kernel returns views into them, valid until its next
+    window. verify_range makes one per worker thread for the scan; a
+    kernel called without one makes its own, so it allocates as a fresh
+    array would."""
 
     def __init__(self, size: int, block_bytes: int):
         self.size, self.block_bytes = size, block_bytes
         self._arrays: dict[str, np.ndarray] = {}
+        self._prefix: tuple = (None, 0, None)  # w, d count and pattern of the last build
 
     def take(self, name: str, dtype, length: int, width: int = 1) -> np.ndarray:
         """The first width * length elements of buffer name in dtype."""
@@ -366,6 +371,24 @@ class _Workspace:
     def block(self, length: int) -> np.ndarray:
         """The scratch block's first block_bytes * length bytes, as uint8."""
         return self.take("block", np.uint8, length, self.block_bytes)
+
+    def prefix(self, w: np.ndarray, root: int) -> np.ndarray | None:
+        """The prefix pattern: pattern[i] = sum of w[d] over the d | _PERIOD
+        with d <= root that divide i, i in [0, _PERIOD); None for float64
+        weights. Rebuilt only when w or that set of d differs from the last
+        build, in one _PERIOD-element buffer of w's dtype (0.6 MB in int32)."""
+        if w.dtype.kind != "i":
+            return None
+        m = bisect_right(_PERIOD_DIVISORS, root)
+        last_w, last_m, pattern = self._prefix
+        if last_w is not w or last_m != m:
+            if pattern is None or pattern.dtype != w.dtype:
+                pattern = np.empty(_PERIOD, dtype=w.dtype)
+            pattern.fill(0)
+            for d in _PERIOD_DIVISORS[:m]:
+                pattern[::d] += w[d]
+            self._prefix = (w, m, pattern)
+        return pattern
 
 
 def _tile(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
@@ -406,22 +429,22 @@ def _tau_start() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _tau_segment(
-    lo: int, hi: int, start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int],
-    logs: list[int] | None = None, ws: _Workspace | None = None,
+    lo: int, hi: int, start: tuple[np.ndarray, np.ndarray, np.ndarray],
+    primes: list[tuple[int, int]], ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
 
-    primes must hold every sieving prime, p^2 <= hi, ascending; logs their
-    r_p = _log_weight(p), built once per scan, or None to compute them
-    here. tau, acc and sqfree start from a copy of start = _tau_start(),
-    which holds every p^j | n with p^j | _PERIOD. A strided sieve adds the
-    other powers of the small sieving primes, p <= max(7, icbrt(hi)): for
-    each q = p^j <= hi that does not divide _PERIOD, the multiples of q in
-    the window are the basic slice [(-lo) % q :: q]. At j = 1 tau doubles;
-    at j >= 2 tau is divided by j and multiplied by j + 1. The division is
-    exact: every multiple of p^j is a multiple of p^(j-1), whose step or
-    the start left the factor j in its tau. Each step adds r_p to acc. A
-    p | _PERIOD with p^2 > hi divides n at most once, which the start holds.
+    primes must hold every sieving prime, p^2 <= hi, ascending, as the
+    (p, r_p) pairs of _scan_primes. tau, acc and sqfree start from a copy
+    of start = _tau_start(), which holds every p^j | n with p^j | _PERIOD.
+    A strided sieve adds the other powers of the small sieving primes,
+    p <= max(7, icbrt(hi)): for each q = p^j <= hi that does not divide
+    _PERIOD, the multiples of q in the window are the basic slice
+    [(-lo) % q :: q]. At j = 1 tau doubles; at j >= 2 tau is divided by j
+    and multiplied by j + 1. The division is exact: every multiple of p^j
+    is a multiple of p^(j-1), whose step or the start left the factor j in
+    its tau. Each step adds r_p to acc. A p | _PERIOD with p^2 > hi
+    divides n at most once, which the start holds.
 
     A large sieving prime, p > max(7, icbrt(hi)), has p^3 > hi, so an
     n <= hi has at most two of them, counted with multiplicity. Such a p
@@ -475,7 +498,7 @@ def _tau_segment(
     big.fill(0)
     cube = max(7, integer_kth_root(hi, 3))
     squares = []  # (first index, p^2) of each large p^2 with a multiple here
-    for p, r in zip(primes, map(_log_weight, primes) if logs is None else logs):
+    for p, r in primes:
         q, j = p, 1
         if q * q > hi:
             break
@@ -523,55 +546,35 @@ def _tau_segment(
     return tau, sqfree
 
 
-def _period_pattern(w: np.ndarray) -> np.ndarray | None:
-    """pattern[i] = sum of w[d] over the d | _PERIOD with d < len(w) that
-    divide i, for i in [0, _PERIOD): the weight they add to an n with
-    n % _PERIOD == i once d^k <= n. None for float64 weights. Built once
-    per scan, read-only; 0.6 MB in int32 and 1.2 MB in int64."""
-    if w.dtype.kind != "i":
-        return None
-    pattern = np.zeros(_PERIOD, dtype=w.dtype)
-    for d in _PERIOD_DIVISORS:
-        if d < len(w):
-            pattern[::d] += w[d]
-    pattern.flags.writeable = False
-    return pattern
-
-
 def _harvest_segment(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
-    ws: _Workspace | None = None,
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, ws: _Workspace | None = None,
 ) -> np.ndarray:
     """S(n) for every n in [lo, hi]: each d with d^k <= hi contributes
     weight(d) to its multiples n >= d^k.
 
-    With the scan's pattern S starts from a copy, which adds w[d] to every
-    multiple of each d | _PERIOD (d | n exactly when d | n % _PERIOD); each
-    such d takes w[d] back below d^k, and every other d adds it from d^k
-    on. Every value of S is a sum of w[d] over distinct d | n at every
-    step, so it stays in [0, sum of w], and the order of integer adds does
-    not matter. Float64 weights take no pattern and add in ascending d.
-    S is the workspace's buffer.
+    S starts from the workspace's prefix pattern, which holds w[d] at the
+    multiples of each d | _PERIOD with d^k <= lo (d | n exactly when
+    d | n % _PERIOD); every other d adds w[d] at its multiples from
+    max(lo, d^k) on. S is only added to, so it stays in [0, sum of w] and
+    the order of integer adds does not matter; float64 weights take no
+    pattern and add in ascending d. S is the workspace's buffer.
     """
     length = hi - lo + 1
-    S = (ws or _Workspace(length, 0)).take("S", w.dtype, length)
+    ws = ws or _Workspace(length, 0)
+    S = ws.take("S", w.dtype, length)
+    root = integer_kth_root(lo, cfg.k)
+    pattern = ws.prefix(w, root)
     if pattern is None:
         S.fill(0)
     else:
         _tile(pattern, lo, S)
     d = 1
     while d**cfg.k <= hi:
-        if pattern is None or _PERIOD % d:
+        if pattern is None or d > root or _PERIOD % d:
             start = ((max(lo, d**cfg.k) + d - 1) // d) * d
             if start <= hi:
                 S[start - lo :: d] += w[d]
-        elif lo < d**cfg.k:
-            S[(-lo) % d : d**cfg.k - lo : d] -= w[d]
         d += 1
-    if pattern is not None:
-        for p in _PERIOD_DIVISORS:
-            if d <= p < len(w):  # p^k > hi: the whole window is below p^k
-                S[(-lo) % p :: p] -= w[p]
     return S
 
 
@@ -616,8 +619,8 @@ def _merge(
 
 
 def _scan_segment(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int], logs: list[int],
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[tuple[int, int]],
     collect: bool, ws: _Workspace,
 ) -> _SegmentResult:
     """[lo, hi] compared _WINDOW n at a time in the worker's workspace,
@@ -625,8 +628,7 @@ def _scan_segment(
     best ratio below 1 (no prime in a tiny segment) is redone n by n, so
     records keep exact S."""
     res = _merge(lo, hi, [
-        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, pattern, start, primes,
-                        collect, logs, ws)
+        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, start, primes, collect, ws)
         for a in range(lo, hi + 1, _WINDOW)
     ], collect)
     if cfg.exact and res.max_num < res.max_den:
@@ -675,9 +677,9 @@ def _ratio_dtype(cfg: CensusConfig) -> type:
 
 
 def _compare_window(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, pattern: np.ndarray | None,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[int], collect: bool,
-    logs: list[int] | None = None, ws: _Workspace | None = None,
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[tuple[int, int]],
+    collect: bool, ws: _Workspace | None = None,
 ) -> _SegmentResult:
     """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
     (the stand-in c on the exact path), S in the dtype of w.
@@ -697,8 +699,8 @@ def _compare_window(
     """
     length, rdt = hi - lo + 1, _ratio_dtype(cfg)
     ws = ws or _Workspace(length, np.dtype(rdt).itemsize)
-    tau, sqfree = _tau_segment(lo, hi, start, primes, logs, ws)
-    S = _harvest_segment(lo, hi, cfg, w, pattern, ws)
+    tau, sqfree = _tau_segment(lo, hi, start, primes, ws)
+    S = _harvest_segment(lo, hi, cfg, w, ws)
     ratio = ws.block(length).view(rdt)[:length]
     np.divide(tau, S, out=ratio, dtype=rdt)
     if cfg.squarefree_only:
@@ -867,10 +869,8 @@ def verify_range(
     w, c = _weight_table(cfg)
     # the kernels compare with c; the report and the checkpoint keep cfg
     scan_cfg = cfg if c is None else replace(cfg, constant=c)
-    pattern = _period_pattern(w)
     start = _tau_start()
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
-    logs = [_log_weight(p) for p in primes]
     segments = _segments(cfg)
     # one workspace per worker thread, for this scan only
     local = threading.local()
@@ -901,8 +901,7 @@ def verify_range(
         # check into the results.
         check_stop()
         lo, hi = seg
-        res = _scan_segment(lo, hi, scan_cfg, w, pattern, start, primes, logs,
-                            collect_equalities, local.ws)
+        res = _scan_segment(lo, hi, scan_cfg, w, start, primes, collect_equalities, local.ws)
         if ckpt is not None:
             ckpt.record(res)
         return res

@@ -63,9 +63,15 @@ def oracle_weight_sum(n: int, k: int = 4, eta: int = 7) -> int:
 def triple_count(n_max: int) -> int:
     """Number of n = pqr <= n_max with primes p < q < r and p^3 > qr.
 
-    The paper's equality analysis: while every tau(n) on [1, n_max] is below
-    1032 = 8 * (1 + 2^7), tau(n) = 8 S(n) holds exactly at these n, so this
-    is the census's equality count, derived without its sieve.
+    The paper's equality analysis, for k = 4, eta = 7 and C = 8. S(n) = 1
+    exactly when the least prime p of n has p^4 > n. Then n has at most
+    three prime factors, counted with multiplicity, so tau(n) <= 8, with
+    equality exactly at n = pqr, p < q < r, where p^4 > n is p^3 > qr.
+    Otherwise some d > 1 with d^4 <= n adds at least 2^7 to S(n), so
+    8 S(n) >= 1032, and n is an equality or a violation only if
+    tau(n) >= 1032. So the census's equality count is this count plus the
+    equalities among the n <= n_max with tau(n) >= 1032, derived without
+    its sieve; below 10^8 no tau(n) reaches 1032.
     """
     c = round(n_max ** (1 / 3))
     while c**3 > n_max:

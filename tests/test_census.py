@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import asdict, replace
 from fractions import Fraction
 from math import isqrt, log2
@@ -25,7 +26,7 @@ from divbound.census import (
     ScanInterrupted,
     _harvest_segment,
     _log_weight,
-    _period_pattern,
+    _scan_primes,
     _tau_dtypes,
     _tau_segment,
     _tau_start,
@@ -58,7 +59,7 @@ def _check_tau_segment(lo: int, hi: int) -> None:
         f = factorize(n)
         want_tau.append(tau(f))
         want_sqfree.append(all(a == 1 for _, a in f.factors))
-    for primes in (sieve_primes(isqrt(hi)), sieve_primes(4 * isqrt(hi) + 100)):
+    for primes in (_scan_primes(isqrt(hi)), _scan_primes(4 * isqrt(hi) + 100)):
         t, sq = _tau_segment(lo, hi, _START, primes)
         assert t.dtype == _tau_dtypes(hi)[0]  # nothing promoted tau
         assert t.tolist() == want_tau
@@ -299,7 +300,7 @@ def _compare_reference(lo, hi, cfg, w, primes, collect):
     tolerances and squarefree masks on the whole window, and the exact
     maximum from the float32 candidates near the peak."""
     t, sqfree = _tau_segment(lo, hi, _START, primes)
-    S = _harvest_segment(lo, hi, cfg, w, _period_pattern(w))
+    S = _harvest_segment(lo, hi, cfg, w)
     if cfg.exact:
         lhs = cfg.constant.denominator * t.astype(S.dtype)
         rhs = cfg.constant.numerator * S
@@ -436,7 +437,7 @@ class TestDivisorWeightSum:
 
 class TestSegmentKernels:
     def test_tau_segment_matches_oracle(self, small_tau_table):
-        primes = sieve_primes(100)
+        primes = _scan_primes(100)
         t, sq = _tau_segment(1, 10**4, _START, primes)
         assert t.dtype == np.int16
         for n in range(1, 10**4 + 1):
@@ -444,7 +445,7 @@ class TestSegmentKernels:
             assert sq[n - 1] == all(a == 1 for _, a in factorize(n).factors)
 
     def test_tau_segment_offset_window(self):
-        primes = sieve_primes(1100)
+        primes = _scan_primes(1100)
         lo, hi = 10**6 - 200, 10**6 + 200
         t, _ = _tau_segment(lo, hi, _START, primes)
         for n in range(lo, hi + 1):
@@ -465,7 +466,7 @@ class TestSegmentKernels:
         want = [(0, False)] + [(tau(f), all(a == 1 for a in f.exponents))
                                for f in map(factorize, range(1, 257))]
         for hi in range(1, 257):
-            for primes in (sieve_primes(isqrt(hi)), sieve_primes(256)):
+            for primes in (_scan_primes(isqrt(hi)), _scan_primes(256)):
                 for lo in range(1, hi + 1):
                     t, sq = _tau_segment(lo, hi, _START, primes)
                     assert list(zip(t.tolist(), sq.tolist())) == want[lo : hi + 1], (lo, hi)
@@ -476,14 +477,14 @@ class TestSegmentKernels:
         want = [(0, False)] + [(tau(f), all(a == 1 for a in f.exponents))
                                for f in map(factorize, range(1, 1332))]
         for hi in range(121, 1332):
-            for primes in (sieve_primes(isqrt(hi)), sieve_primes(1331)):
+            for primes in (_scan_primes(isqrt(hi)), _scan_primes(1331)):
                 t, sq = _tau_segment(hi - 40, hi, _START, primes)
                 assert list(zip(t.tolist(), sq.tolist())) == want[hi - 40 : hi + 1], hi
 
     @pytest.mark.parametrize("lo, hi", [(15, 15 + _P), (_P - 5, 3 * _P + 5)])
     def test_tau_segment_spans_periods(self, lo, hi):
         # windows that copy the start in two and in four pieces
-        t, sq = _tau_segment(lo, hi, _START, sieve_primes(isqrt(hi)))
+        t, sq = _tau_segment(lo, hi, _START, _scan_primes(isqrt(hi)))
         want_t, want_sq = _tau_reference(lo, hi)
         assert t.dtype == np.int16
         assert np.array_equal(t, want_t)
@@ -508,7 +509,7 @@ class TestSegmentKernels:
     def test_harvest_equals_direct_enumeration(self):
         cfg = CensusConfig(n_max=10**4)
         w = _unclamped_table(cfg, np.int32)
-        s = _harvest_segment(1, 10**4, cfg, w, _period_pattern(w))
+        s = _harvest_segment(1, 10**4, cfg, w)
         for n in range(1, 10**4 + 1):
             assert s[n - 1] == oracle_weight_sum(n), n
 
@@ -525,42 +526,70 @@ class TestSegmentKernels:
         cfg = CensusConfig(n_max=10**8, k=k, eta=eta, constant=constant)
         w, _ = _weight_table(cfg)
         assert w.dtype == dtype
-        pattern = _period_pattern(w)
         for lo, hi in _HARVEST_WINDOWS:
-            got = _harvest_segment(lo, hi, cfg, w, pattern)
+            got = _harvest_segment(lo, hi, cfg, w)
             assert got.dtype == w.dtype
             assert np.array_equal(got, _harvest_reference(lo, hi, k, w)), (lo, hi)
 
     @given(case=_harvest_cases())
     @settings(max_examples=120, deadline=None)
     def test_harvest_with_scan_pattern_matches_reference(self, case):
-        # the pattern of every periodic d <= d_max, taken back below d^k,
-        # against ascending adds: equal arrays on integer tables, equal
-        # bytes on float64 ones, which take no pattern
+        # the prefix pattern of the periodic d with d^k <= lo, and every
+        # other d added from d^k on, against ascending adds: equal arrays on
+        # integer tables, equal bytes on float64 ones, which take no pattern
         k, w, lo, hi = case
-        pattern = _period_pattern(w)
-        assert (pattern is None) == (w.dtype == np.float64)
-        got = _harvest_segment(lo, hi, CensusConfig(n_max=10**8, k=k), w, pattern)
+        got = _harvest_segment(lo, hi, CensusConfig(n_max=10**8, k=k), w)
         want = _harvest_reference(lo, hi, k, w)
         assert got.dtype == w.dtype
         assert got.tobytes() == want.tobytes(), (lo, hi)
 
-    def test_pattern_is_built_once_per_scan(self, monkeypatch):
-        # every window of every segment, on both workers, reads one pattern
-        calls = []
-        real = census._period_pattern
+    def test_prefix_builds_are_bounded_per_worker(self, monkeypatch):
+        # each worker takes its segments in ascending order, so it builds
+        # each prefix at most once: at most the distinct prefixes of the
+        # scan's windows times the workers, far fewer than the windows
+        builds, windows = [], []
+        real = census._Workspace.prefix
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(ws, w, root):
+            last = ws._prefix
+            out = real(ws, w, root)
+            windows.append(root)
+            if ws._prefix is not last:
+                builds.append(root)
+            return out
 
-        monkeypatch.setattr(census, "_period_pattern", counted)
-        cfg = CensusConfig(n_max=4 * 10**5, segment_size=10**5, workers=2)
+        monkeypatch.setattr(census._Workspace, "prefix", counted)
+        cfg = CensusConfig(n_max=10**6, segment_size=10**4, workers=2)
         report = verify_range(cfg)
-        assert report.segments_processed == 4
-        assert len(calls) == 1
+        prefixes = {bisect_right(census._PERIOD_DIVISORS, r) for r in windows}
+        assert len(windows) == report.segments_processed == 100
+        assert len(prefixes) == 14
+        assert len(prefixes) <= len(builds) <= 2 * len(prefixes)
         monkeypatch.undo()
         assert report.to_json() == verify_range(replace(cfg, workers=1)).to_json()
+
+    def test_one_workspace_through_prefix_changes(self):
+        # windows straddling p^k for periodic p, ascending, then descending,
+        # then prefixes seen before, each twice; an int32 table and then an
+        # int64 one, which starts on the prefix the first ended on. One
+        # workspace's S must equal a fresh workspace's byte for byte, and
+        # the ascending adds
+        for k, n_max in ((4, 10**8), (2, 10**6)):
+            tables = [_weight_table(CensusConfig(n_max=n_max, k=k, eta=eta, constant=c))[0]
+                      for eta, c in ((3, Fraction(8)), (7, Fraction(2**20)))]
+            assert [w.dtype for w in tables] == [np.int32, np.int64]
+            ps = [p for p in census._PERIOD_DIVISORS if 1 < p and p**k <= n_max]
+            ups = [(max(1, p**k - 1000), p**k + 5000) for p in ps[::3]]
+            mid = ups[len(ups) // 2]
+            again = [win for win in ups[len(ups) // 2 :: -2] for _ in (0, 1)]
+            ws = census._Workspace(census._WINDOW, 4)
+            cfg = CensusConfig(n_max=n_max, k=k)
+            for w in tables:
+                for lo, hi in [mid] + ups + ups[::-1] + again + [mid]:
+                    got = _harvest_segment(lo, hi, cfg, w, ws)
+                    want = _harvest_segment(lo, hi, cfg, w)
+                    assert got.tobytes() == want.tobytes(), (k, w.dtype, lo, hi)
+                    assert np.array_equal(want, _harvest_reference(lo, hi, k, w)), (k, lo, hi)
 
     def test_tau_start_is_built_once_per_scan(self, monkeypatch):
         # every window of every segment, on both workers, copies one start
@@ -585,17 +614,16 @@ class TestSegmentKernels:
         w, c = _weight_table(cfg)
         assert w.dtype == np.float64 and c is None
         lo, hi = 10**8 - 2**20 + 1, 10**8
-        assert _period_pattern(w) is None
-        got = _harvest_segment(lo, hi, cfg, w, None)
+        assert census._Workspace(1, 0).prefix(w, 100) is None
+        got = _harvest_segment(lo, hi, cfg, w)
         assert got.tobytes() == _harvest_reference(lo, hi, 4, w).tobytes()
 
     def test_harvest_respects_segment_boundaries(self):
         cfg = CensusConfig(n_max=10**4)
         w, _ = _weight_table(cfg)
-        pattern = _period_pattern(w)
-        whole = _harvest_segment(1, 10**4, cfg, w, pattern)
+        whole = _harvest_segment(1, 10**4, cfg, w)
         pieces = np.concatenate(
-            [_harvest_segment(lo, min(lo + 999, 10**4), cfg, w, pattern)
+            [_harvest_segment(lo, min(lo + 999, 10**4), cfg, w)
              for lo in range(1, 10**4, 1000)]
         )
         assert np.array_equal(whole, pieces)
@@ -619,7 +647,7 @@ class TestSegmentKernels:
         cfg = CensusConfig(n_max=3000, **kwargs)
         w, c = _weight_table(cfg)
         assert w.dtype == np.int32
-        got = _harvest_segment(1, cfg.n_max, cfg, w, _period_pattern(w)).tolist()
+        got = _harvest_segment(1, cfg.n_max, cfg, w).tolist()
         C, clamped = cfg.constant, 0
         for n in range(1, cfg.n_max + 1):
             t, s, _ = _oracle_row(n, cfg)
@@ -877,8 +905,7 @@ class TestVerifyRange:
 
 
 _WS_N_MAX = (1 << 28) + (1 << 21)
-_WS_PRIMES = sieve_primes(isqrt(_WS_N_MAX))
-_WS_LOGS = [_log_weight(p) for p in _WS_PRIMES]
+_WS_PRIMES = _scan_primes(isqrt(_WS_N_MAX))
 _WORKSPACE_CONFIGS = [CensusConfig(n_max=_WS_N_MAX),
                       CensusConfig(n_max=_WS_N_MAX, squarefree_only=True),
                       CensusConfig(n_max=_WS_N_MAX, eta=7.5)]
@@ -916,9 +943,8 @@ class TestWindows:
         except ValueError:  # refused: a C far below 1 with huge weights
             reject()
         scan_cfg = cfg if c is None else replace(cfg, constant=c)
-        primes = sieve_primes(max(isqrt(cfg.n_max), 2))
-        got = census._compare_window(lo, hi, scan_cfg, w, _period_pattern(w), _START,
-                                     primes, collect)
+        primes = _scan_primes(max(isqrt(cfg.n_max), 2))
+        got = census._compare_window(lo, hi, scan_cfg, w, _START, primes, collect)
         want = _compare_reference(lo, hi, scan_cfg, w, primes, collect)
         assert asdict(got) == asdict(want)
 
@@ -932,21 +958,18 @@ class TestWindows:
         cfg = data.draw(st.sampled_from(_WORKSPACE_CONFIGS))
         w, c = _weight_table(cfg)
         scan_cfg = cfg if c is None else replace(cfg, constant=c)
-        pattern = _period_pattern(w)
         ws = census._Workspace(census._WINDOW, np.dtype(census._ratio_dtype(cfg)).itemsize)
         for lo, hi in windows:
             collect = data.draw(st.booleans())
-            t, sq = (a.copy() for a in _tau_segment(lo, hi, _START, _WS_PRIMES,
-                                                     _WS_LOGS, ws))
+            t, sq = (a.copy() for a in _tau_segment(lo, hi, _START, _WS_PRIMES, ws))
             want_t, want_sq = _tau_segment(lo, hi, _START, _WS_PRIMES)
             assert t.dtype == want_t.dtype
             assert np.array_equal(t, want_t) and np.array_equal(sq, want_sq), (lo, hi)
-            S = _harvest_segment(lo, hi, scan_cfg, w, pattern, ws)
-            assert S.tobytes() == _harvest_segment(lo, hi, scan_cfg, w, pattern).tobytes()
-            got = census._compare_window(lo, hi, scan_cfg, w, pattern, _START, _WS_PRIMES,
-                                         collect, _WS_LOGS, ws)
-            want = census._compare_window(lo, hi, scan_cfg, w, pattern, _START,
-                                          _WS_PRIMES, collect)
+            S = _harvest_segment(lo, hi, scan_cfg, w, ws)
+            assert S.tobytes() == _harvest_segment(lo, hi, scan_cfg, w).tobytes()
+            got = census._compare_window(lo, hi, scan_cfg, w, _START, _WS_PRIMES, collect,
+                                         ws)
+            want = census._compare_window(lo, hi, scan_cfg, w, _START, _WS_PRIMES, collect)
             assert asdict(got) == asdict(want), (lo, hi)
 
     def test_warm_top_window_allocates_no_window_array(self):
@@ -955,15 +978,13 @@ class TestWindows:
         # about 12 MB
         cfg = CensusConfig(n_max=10**8)
         w, c = _weight_table(cfg)
-        scan_cfg, pattern = replace(cfg, constant=c), _period_pattern(w)
-        primes = sieve_primes(10**4)
-        logs = [_log_weight(p) for p in primes]
+        scan_cfg = replace(cfg, constant=c)
+        primes = _scan_primes(10**4)
         ws = census._Workspace(census._WINDOW, 4)  # 4 bytes per n: float32 ratios
         lo, hi = 10**8 - 2**20 + 1, 10**8
 
         def run():
-            return census._compare_window(lo, hi, scan_cfg, w, pattern, _START, primes,
-                                          False, logs, ws)
+            return census._compare_window(lo, hi, scan_cfg, w, _START, primes, False, ws)
 
         want = run()
         tracing = tracemalloc.is_tracing()
@@ -1109,7 +1130,7 @@ class TestTripleCount:
         report = verify_range(CensusConfig(n_max=n_max))
         assert report.equalities == triple_count(n_max) == pinned
         # the argument's premise: tau(n) >= 8 * (1 + 2^7) needs tau(n) >= 1032
-        t, _ = _tau_segment(1, n_max, _START, sieve_primes(isqrt(n_max)))
+        t, _ = _tau_segment(1, n_max, _START, _scan_primes(isqrt(n_max)))
         assert int(t.max()) < 1032
 
 
