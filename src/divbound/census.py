@@ -7,9 +7,10 @@ tau comes from a strided sieve over prime powers p^j <= hi, which updates
 tau in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
 Both start from patterns of period _PERIOD = 151200 in n. The tau start,
-built once per scan, holds the p^j that divide _PERIOD, and the sieve
-adds the other p^j of the primes up to the cube root of hi. Alongside tau
-it sums acc, a fixed-point 8 log2 of the sieved part of n, with each
+a read-only constant built at import by the sieve's own prime-power step,
+holds the p^j that divide _PERIOD, and the sieve adds the other p^j of
+the primes up to the cube root of hi. Alongside tau it sums acc, a
+fixed-point 8 log2 of the sieved part of n, with each
 r_p = round(8 log2 p) computed once per scan. A prime between the cube
 and the square root of hi divides n at most twice and touches only a
 second log sum, from which one shift of tau takes both the count of such
@@ -22,10 +23,10 @@ order of d bit for bit.
 
 Each worker thread of a scan keeps one _Workspace: tau, sqfree, S, a
 scratch block for the sieve's log sums and then the ratios, and the
-prefix pattern, rebuilt only when the window's prefix changes. All are
+prefix pattern, updated only when the window's prefix changes. All are
 reused from window to window, so a warm window allocates no array of its
 length. verify_range makes them and drops them when it returns; the
-module keeps no state.
+module keeps no mutable state.
 
 On the exact path the weights are clamped and C is replaced by a stand-in
 c that orders every tau / S as C does (see _weight_table), so S is int32
@@ -375,19 +376,24 @@ class _Workspace:
     def prefix(self, w: np.ndarray, root: int) -> np.ndarray | None:
         """The prefix pattern: pattern[i] = sum of w[d] over the d | _PERIOD
         with d <= root that divide i, i in [0, _PERIOD); None for float64
-        weights. Rebuilt only when w or that set of d differs from the last
-        build, in one _PERIOD-element buffer of w's dtype (0.6 MB in int32)."""
+        weights. Kept in one _PERIOD-element buffer of w's dtype (0.6 MB in
+        int32): when that set of d grows under the same w, as it does over a
+        worker's ascending segments, only the new d are added; another w or
+        a smaller set rebuilds it from zero."""
         if w.dtype.kind != "i":
             return None
         m = bisect_right(_PERIOD_DIVISORS, root)
         last_w, last_m, pattern = self._prefix
-        if last_w is not w or last_m != m:
+        if last_w is w and last_m == m:
+            return pattern
+        if last_w is not w or last_m > m:
             if pattern is None or pattern.dtype != w.dtype:
                 pattern = np.empty(_PERIOD, dtype=w.dtype)
             pattern.fill(0)
-            for d in _PERIOD_DIVISORS[:m]:
-                pattern[::d] += w[d]
-            self._prefix = (w, m, pattern)
+            last_m = 0
+        for d in _PERIOD_DIVISORS[last_m:m]:
+            pattern[::d] += w[d]
+        self._prefix = (w, m, pattern)
         return pattern
 
 
@@ -400,51 +406,58 @@ def _tile(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
         i, off = i + m, 0
 
 
+def _power_step(tau, acc, sqfree, s: int, q: int, j: int, r: int) -> None:
+    """The tau sieve's pass over the multiples of q = p^j, the indices s,
+    s + q, ...: at j = 1 tau doubles; at j >= 2 tau is divided by j and
+    multiplied by j + 1, and at j = 2 sqfree is cleared. The division is
+    exact: every multiple of p^j is a multiple of p^(j-1), whose pass left
+    the factor j in its tau. acc gains r = r_p."""
+    view = tau[s::q]
+    if j > 1:
+        view //= j
+    view *= j + 1
+    acc[s::q] += r
+    if j == 2:
+        sqfree[s::q] = False
+
+
 def _tau_start() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tau sieve's start: tau, acc and sqfree for the n with
-    n % _PERIOD == i, i in [0, _PERIOD), from the p^e || _PERIOD alone
-    (e = 5, 3, 2, 1 for p = 2, 3, 5, 7). With v = min(v_p(i), e), which
-    is min(v_p(n), e) as p^e divides _PERIOD, tau is the product of
-    (v + 1), at most 144, acc the sum of v r_p and sqfree says v < 2
-    for every p. The passes are those of _tau_segment at lo = 0. uint8,
-    uint8 and bool, read-only; built once per scan."""
+    """tau, acc and sqfree for the n with n % _PERIOD == i, i in
+    [0, _PERIOD), from the p^e || _PERIOD alone (e = 5, 3, 2, 1 for
+    p = 2, 3, 5, 7): the passes of every p^j | _PERIOD from index 0. With
+    v = min(v_p(i), e), which is min(v_p(n), e) as p^e divides _PERIOD,
+    tau is the product of (v + 1), at most 144, acc the sum of v r_p and
+    sqfree says v < 2 for every p. uint8, uint8 and bool, read-only."""
     tau = np.ones(_PERIOD, dtype=np.uint8)
     acc = np.zeros(_PERIOD, dtype=np.uint8)
     sqfree = np.ones(_PERIOD, dtype=bool)
     for p in (2, 3, 5, 7):
         q, j = p, 1
         while _PERIOD % q == 0:
-            view = tau[::q]
-            if j > 1:
-                view //= j
-            view *= j + 1
-            acc[::q] += _log_weight(p)
-            if j == 2:
-                sqfree[::q] = False
-            q *= p
-            j += 1
+            _power_step(tau, acc, sqfree, 0, q, j, _log_weight(p))
+            q, j = q * p, j + 1
     for a in (tau, acc, sqfree):
         a.flags.writeable = False
     return tau, acc, sqfree
 
 
+_TAU_START = _tau_start()  # the tau sieve's start, built once per process: 0.45 MB
+
+
 def _tau_segment(
-    lo: int, hi: int, start: tuple[np.ndarray, np.ndarray, np.ndarray],
-    primes: list[tuple[int, int]], ws: _Workspace | None = None,
+    lo: int, hi: int, primes: list[tuple[int, int]], ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
 
     primes must hold every sieving prime, p^2 <= hi, ascending, as the
     (p, r_p) pairs of _scan_primes. tau, acc and sqfree start from a copy
-    of start = _tau_start(), which holds every p^j | n with p^j | _PERIOD.
-    A strided sieve adds the other powers of the small sieving primes,
+    of _TAU_START, which holds every p^j | n with p^j | _PERIOD. A strided
+    sieve adds the other powers of the small sieving primes,
     p <= max(7, icbrt(hi)): for each q = p^j <= hi that does not divide
     _PERIOD, the multiples of q in the window are the basic slice
-    [(-lo) % q :: q]. At j = 1 tau doubles; at j >= 2 tau is divided by j
-    and multiplied by j + 1. The division is exact: every multiple of p^j
-    is a multiple of p^(j-1), whose step or the start left the factor j in
-    its tau. Each step adds r_p to acc. A p | _PERIOD with p^2 > hi
-    divides n at most once, which the start holds.
+    [(-lo) % q :: q], which takes q's _power_step; its division is exact
+    also after the start, made by the same passes. A p | _PERIOD with
+    p^2 > hi divides n at most once, which the start holds.
 
     A large sieving prime, p > max(7, icbrt(hi)), has p^3 > hi, so an
     n <= hi has at most two of them, counted with multiplicity. Such a p
@@ -493,7 +506,7 @@ def _tau_segment(
     ws = ws or _Workspace(length, 2 * width)
     tau, sqfree = ws.take("tau", tau_dtype, length), ws.take("sqfree", bool, length)
     acc, big = ws.block(length)[: 2 * width * length].view(acc_dtype).reshape(2, length)
-    for a, out in zip(start, (tau, acc, sqfree)):
+    for a, out in zip(_TAU_START, (tau, acc, sqfree)):
         _tile(a, lo, out)
     big.fill(0)
     cube = max(7, integer_kth_root(hi, 3))
@@ -519,15 +532,8 @@ def _tau_segment(
             s = (-lo) % q
             if s >= length:
                 break  # no multiple of q here, nor of any higher power
-            view = tau[s::q]
-            if j > 1:
-                view //= j
-            view *= j + 1
-            acc[s::q] += r
-            if j == 2:
-                sqfree[s::q] = False
-            q *= p
-            j += 1
+            _power_step(tau, acc, sqfree, s, q, j, r)
+            q, j = q * p, j + 1
     E = hi.bit_length() - 1
     acc += big  # the log of P
     big += 1  # big becomes k = ceil(ceil(big / 2) / (2E + 2))
@@ -619,8 +625,7 @@ def _merge(
 
 
 def _scan_segment(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[tuple[int, int]],
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: list[tuple[int, int]],
     collect: bool, ws: _Workspace,
 ) -> _SegmentResult:
     """[lo, hi] compared _WINDOW n at a time in the worker's workspace,
@@ -628,7 +633,7 @@ def _scan_segment(
     best ratio below 1 (no prime in a tiny segment) is redone n by n, so
     records keep exact S."""
     res = _merge(lo, hi, [
-        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, start, primes, collect, ws)
+        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, primes, collect, ws)
         for a in range(lo, hi + 1, _WINDOW)
     ], collect)
     if cfg.exact and res.max_num < res.max_den:
@@ -677,8 +682,7 @@ def _ratio_dtype(cfg: CensusConfig) -> type:
 
 
 def _compare_window(
-    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray], primes: list[tuple[int, int]],
+    lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: list[tuple[int, int]],
     collect: bool, ws: _Workspace | None = None,
 ) -> _SegmentResult:
     """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
@@ -699,7 +703,7 @@ def _compare_window(
     """
     length, rdt = hi - lo + 1, _ratio_dtype(cfg)
     ws = ws or _Workspace(length, np.dtype(rdt).itemsize)
-    tau, sqfree = _tau_segment(lo, hi, start, primes, ws)
+    tau, sqfree = _tau_segment(lo, hi, primes, ws)
     S = _harvest_segment(lo, hi, cfg, w, ws)
     ratio = ws.block(length).view(rdt)[:length]
     np.divide(tau, S, out=ratio, dtype=rdt)
@@ -748,13 +752,14 @@ class _Checkpoint:
         self.cfg = cfg
         self.collect = collect
         self.lock = threading.Lock()
-        self.done: dict[tuple[int, int], _SegmentResult] = {}
         self._fh = None
         self._valid_bytes = 0
 
-    def load(self) -> None:
+    def load(self) -> dict[tuple[int, int], _SegmentResult]:
+        """The file's records by (lo, hi), none when it is absent or empty."""
+        done: dict[tuple[int, int], _SegmentResult] = {}
         if not os.path.exists(self.path):
-            return
+            return done
         try:
             with open(self.path, "rb") as fh:
                 raw_bytes = fh.read()
@@ -768,7 +773,7 @@ class _Checkpoint:
         if not body:
             if partial:
                 raise CheckpointError(f"corrupt checkpoint header in {self.path}")
-            return
+            return done
         try:
             header = json.loads(body[0])
         except ValueError:  # also catches bytes that are not UTF-8
@@ -797,8 +802,9 @@ class _Checkpoint:
                 raise CheckpointError(
                     "checkpoint lacks equality lists required by this run"
                 )
-            self.done[(res.lo, res.hi)] = res
+            done[(res.lo, res.hi)] = res
         self._valid_bytes = len(raw_bytes) - len(partial)
+        return done
 
     def open_for_append(self) -> None:
         self._fh = open(self.path, "a", encoding="utf-8")
@@ -816,7 +822,6 @@ class _Checkpoint:
 
     def record(self, res: _SegmentResult) -> None:
         with self.lock:
-            self.done[(res.lo, res.hi)] = res
             if self._fh is not None:
                 rec = asdict(res)
                 if res.equality_ns is None:
@@ -869,7 +874,6 @@ def verify_range(
     w, c = _weight_table(cfg)
     # the kernels compare with c; the report and the checkpoint keep cfg
     scan_cfg = cfg if c is None else replace(cfg, constant=c)
-    start = _tau_start()
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
     segments = _segments(cfg)
     # one workspace per worker thread, for this scan only
@@ -880,13 +884,12 @@ def verify_range(
     def make_workspace() -> None:
         local.ws = _Workspace(size, block_bytes)
 
-    ckpt = None
+    ckpt, done = None, {}
     if checkpoint is not None:
         ckpt = _Checkpoint(checkpoint, cfg, collect_equalities)
-        ckpt.load()
+        done = ckpt.load()
         ckpt.open_for_append()
 
-    done = ckpt.done if ckpt is not None else {}
     results = {seg: done[seg] for seg in segments if seg in done}
     pending = [seg for seg in segments if seg not in results]
 
@@ -901,7 +904,7 @@ def verify_range(
         # check into the results.
         check_stop()
         lo, hi = seg
-        res = _scan_segment(lo, hi, scan_cfg, w, start, primes, collect_equalities, local.ws)
+        res = _scan_segment(lo, hi, scan_cfg, w, primes, collect_equalities, local.ws)
         if ckpt is not None:
             ckpt.record(res)
         return res

@@ -225,10 +225,8 @@ def _min_prime_of(*factor_lists: list[tuple[int, int]]) -> int:
     return min(p for fs in factor_lists for p, _ in fs)
 
 
-def _dispatch_m(
-    s1: list, s2: list, s3: list
-) -> tuple[int, int, str]:
-    """Choose (d, tau_d, label) for the exponent-<=-3 part of n.
+def _dispatch_m(s1: list, s2: list, s3: list) -> tuple[int, str]:
+    """Choose (d, label) for the exponent-<=-3 part of n.
 
     Guarantees tau(part) <= 8 * tau(d)^7 and d^4 <= part; the branch
     constants multiply out to at most 8 in every reachable combination.
@@ -236,38 +234,32 @@ def _dispatch_m(
     w1, w2, w3 = len(s1), len(s2), len(s3)
 
     if w2 in (2, 3) or w3 in (2, 3):
-        d1, t1, _ = _choose(s1, 1)
-        d2, t2, _ = _choose(s2, 2)
-        d3, t3, _ = _choose(s3, 3)
-        label = "heavy-square" if w2 in (2, 3) else "heavy-cube"
-        return d1 * d2 * d3, t1 * t2 * t3, label
+        d = _choose(s1, 1)[0] * _choose(s2, 2)[0] * _choose(s3, 3)[0]
+        return d, "heavy-square" if w2 in (2, 3) else "heavy-cube"
 
     # from here on w2, w3 are 0, 1 or >= 4
     if w2 == 1 and w3 == 1:
         # one square times one cube: the smaller of the two primes has
         # fourth power below their product and tau 2, beating tau = 12
-        d1, t1, _ = _choose(s1, 1)
         dp = min(s2[0][0], s3[0][0])
-        return d1 * dp, t1 * 2, f"sq1-cu1-minprime-sf{_bucket(w1)}"
+        return _choose(s1, 1)[0] * dp, f"sq1-cu1-minprime-sf{_bucket(w1)}"
 
     if w1 in (2, 3) and w2 == 1:
         # 2-3 single primes plus one square: constants alone exceed 8, but
         # the minimum prime among them has d^4 below the combined part
         dp = _min_prime_of(s1, s2)
-        d3, t3, _ = _choose(s3, 3)
         suffix = "-cu4p" if w3 else ""
-        return dp * d3, 2 * t3, f"sf{w1}-sq1-minprime{suffix}"
+        return dp * _choose(s3, 3)[0], f"sf{w1}-sq1-minprime{suffix}"
 
     if w1 in (2, 3) and w3 == 1:
         dp = _min_prime_of(s1, s3)
-        d2, t2, _ = _choose(s2, 2)
         suffix = "-sq4p" if w2 else ""
-        return dp * d2, 2 * t2, f"sf{w1}-cu1-minprime{suffix}"
+        return dp * _choose(s2, 2)[0], f"sf{w1}-cu1-minprime{suffix}"
 
     # straight product of the per-part choices; constants multiply to <= 8
-    d1, t1, (num1, den1) = _choose(s1, 1)
-    d2, t2, (num2, den2) = _choose(s2, 2)
-    d3, t3, (num3, den3) = _choose(s3, 3)
+    d1, _, (num1, den1) = _choose(s1, 1)
+    d2, _, (num2, den2) = _choose(s2, 2)
+    d3, _, (num3, den3) = _choose(s3, 3)
     num, den = num1 * num2 * num3, den1 * den2 * den3
     if num > 8 * den:
         raise CertificationError(
@@ -279,7 +271,7 @@ def _dispatch_m(
         )
     else:
         label = f"parts-sf{_bucket(w1)}-sq{_bucket(w2)}-cu{_bucket(w3)}"
-    return d1 * d2 * d3, t1 * t2 * t3, label
+    return d1 * d2 * d3, label
 
 
 def construct_witness(
@@ -306,7 +298,7 @@ def construct_witness(
     d_hi, _, _ = _choose_high(hi)
 
     if s1 or s2 or s3:
-        d_m, _, label = _dispatch_m(s1, s2, s3)
+        d_m, label = _dispatch_m(s1, s2, s3)
         if hi:
             label += "+high"
     else:

@@ -29,7 +29,6 @@ from divbound.census import (
     _scan_primes,
     _tau_dtypes,
     _tau_segment,
-    _tau_start,
     _weight_table,
     best_constant_curve,
     classify_equality_shape,
@@ -46,7 +45,6 @@ from oracles import (
 )
 
 
-_START = _tau_start()
 _P = census._PERIOD
 _MP = 331 * _P  # 50,047,200, a multiple of the period inside [1, 10^8]
 
@@ -60,7 +58,7 @@ def _check_tau_segment(lo: int, hi: int) -> None:
         want_tau.append(tau(f))
         want_sqfree.append(all(a == 1 for _, a in f.factors))
     for primes in (_scan_primes(isqrt(hi)), _scan_primes(4 * isqrt(hi) + 100)):
-        t, sq = _tau_segment(lo, hi, _START, primes)
+        t, sq = _tau_segment(lo, hi, primes)
         assert t.dtype == _tau_dtypes(hi)[0]  # nothing promoted tau
         assert t.tolist() == want_tau
         assert sq.tolist() == want_sqfree
@@ -299,7 +297,7 @@ def _compare_reference(lo, hi, cfg, w, primes, collect):
     before one candidate set decided everything: exact products or float
     tolerances and squarefree masks on the whole window, and the exact
     maximum from the float32 candidates near the peak."""
-    t, sqfree = _tau_segment(lo, hi, _START, primes)
+    t, sqfree = _tau_segment(lo, hi, primes)
     S = _harvest_segment(lo, hi, cfg, w)
     if cfg.exact:
         lhs = cfg.constant.denominator * t.astype(S.dtype)
@@ -438,7 +436,7 @@ class TestDivisorWeightSum:
 class TestSegmentKernels:
     def test_tau_segment_matches_oracle(self, small_tau_table):
         primes = _scan_primes(100)
-        t, sq = _tau_segment(1, 10**4, _START, primes)
+        t, sq = _tau_segment(1, 10**4, primes)
         assert t.dtype == np.int16
         for n in range(1, 10**4 + 1):
             assert t[n - 1] == small_tau_table[n]
@@ -447,7 +445,7 @@ class TestSegmentKernels:
     def test_tau_segment_offset_window(self):
         primes = _scan_primes(1100)
         lo, hi = 10**6 - 200, 10**6 + 200
-        t, _ = _tau_segment(lo, hi, _START, primes)
+        t, _ = _tau_segment(lo, hi, primes)
         for n in range(lo, hi + 1):
             assert t[n - lo] == tau(factorize(n))
 
@@ -468,7 +466,7 @@ class TestSegmentKernels:
         for hi in range(1, 257):
             for primes in (_scan_primes(isqrt(hi)), _scan_primes(256)):
                 for lo in range(1, hi + 1):
-                    t, sq = _tau_segment(lo, hi, _START, primes)
+                    t, sq = _tau_segment(lo, hi, primes)
                     assert list(zip(t.tolist(), sq.tolist())) == want[lo : hi + 1], (lo, hi)
 
     def test_tau_segment_across_the_first_cube_roots(self):
@@ -478,13 +476,13 @@ class TestSegmentKernels:
                                for f in map(factorize, range(1, 1332))]
         for hi in range(121, 1332):
             for primes in (_scan_primes(isqrt(hi)), _scan_primes(1331)):
-                t, sq = _tau_segment(hi - 40, hi, _START, primes)
+                t, sq = _tau_segment(hi - 40, hi, primes)
                 assert list(zip(t.tolist(), sq.tolist())) == want[hi - 40 : hi + 1], hi
 
     @pytest.mark.parametrize("lo, hi", [(15, 15 + _P), (_P - 5, 3 * _P + 5)])
     def test_tau_segment_spans_periods(self, lo, hi):
         # windows that copy the start in two and in four pieces
-        t, sq = _tau_segment(lo, hi, _START, _scan_primes(isqrt(hi)))
+        t, sq = _tau_segment(lo, hi, _scan_primes(isqrt(hi)))
         want_t, want_sq = _tau_reference(lo, hi)
         assert t.dtype == np.int16
         assert np.array_equal(t, want_t)
@@ -591,21 +589,23 @@ class TestSegmentKernels:
                     assert got.tobytes() == want.tobytes(), (k, w.dtype, lo, hi)
                     assert np.array_equal(want, _harvest_reference(lo, hi, k, w)), (k, lo, hi)
 
-    def test_tau_start_is_built_once_per_scan(self, monkeypatch):
-        # every window of every segment, on both workers, copies one start
-        starts = []
-        real = census._tau_start
-
-        def counted():
-            starts.append(real())
-            return starts[-1]
-
-        monkeypatch.setattr(census, "_tau_start", counted)
-        cfg = CensusConfig(n_max=4 * 10**5, segment_size=10**5, workers=2)
-        assert verify_range(cfg).segments_processed == 4
-        assert len(starts) == 1
-        assert [a.dtype for a in starts[0]] == [np.uint8, np.uint8, np.bool_]
-        assert not any(a.flags.writeable for a in starts[0])
+    def test_tau_start_matches_gcd_oracle(self):
+        # the start at i holds what the p^j | _PERIOD say of every n with
+        # n % _PERIOD == i: with g = gcd(i, _PERIOD), tau(g), the sum of
+        # v_p(g) r_p and whether g is squarefree
+        start = census._TAU_START
+        assert [a.dtype for a in start] == [np.uint8, np.uint8, np.bool_]
+        assert not any(a.flags.writeable for a in start)
+        assert all(len(a) == _P for a in start)
+        g = np.gcd(np.arange(_P), _P).tolist()
+        want = {}
+        for x in set(g):
+            f = oracle_factor(x)
+            want[x] = (oracle_tau(x), sum(a * _log_weight(p) for p, a in f),
+                       all(a == 1 for _, a in f))
+        assert len(want) == 144
+        for i, got in enumerate(zip(*(a.tolist() for a in start))):
+            assert got == want[g[i]], i
 
     def test_float_harvest_is_bit_identical(self):
         # float sums depend on the order of the adds; S must keep the
@@ -944,7 +944,7 @@ class TestWindows:
             reject()
         scan_cfg = cfg if c is None else replace(cfg, constant=c)
         primes = _scan_primes(max(isqrt(cfg.n_max), 2))
-        got = census._compare_window(lo, hi, scan_cfg, w, _START, primes, collect)
+        got = census._compare_window(lo, hi, scan_cfg, w, primes, collect)
         want = _compare_reference(lo, hi, scan_cfg, w, primes, collect)
         assert asdict(got) == asdict(want)
 
@@ -961,15 +961,14 @@ class TestWindows:
         ws = census._Workspace(census._WINDOW, np.dtype(census._ratio_dtype(cfg)).itemsize)
         for lo, hi in windows:
             collect = data.draw(st.booleans())
-            t, sq = (a.copy() for a in _tau_segment(lo, hi, _START, _WS_PRIMES, ws))
-            want_t, want_sq = _tau_segment(lo, hi, _START, _WS_PRIMES)
+            t, sq = (a.copy() for a in _tau_segment(lo, hi, _WS_PRIMES, ws))
+            want_t, want_sq = _tau_segment(lo, hi, _WS_PRIMES)
             assert t.dtype == want_t.dtype
             assert np.array_equal(t, want_t) and np.array_equal(sq, want_sq), (lo, hi)
             S = _harvest_segment(lo, hi, scan_cfg, w, ws)
             assert S.tobytes() == _harvest_segment(lo, hi, scan_cfg, w).tobytes()
-            got = census._compare_window(lo, hi, scan_cfg, w, _START, _WS_PRIMES, collect,
-                                         ws)
-            want = census._compare_window(lo, hi, scan_cfg, w, _START, _WS_PRIMES, collect)
+            got = census._compare_window(lo, hi, scan_cfg, w, _WS_PRIMES, collect, ws)
+            want = census._compare_window(lo, hi, scan_cfg, w, _WS_PRIMES, collect)
             assert asdict(got) == asdict(want), (lo, hi)
 
     def test_warm_top_window_allocates_no_window_array(self):
@@ -984,7 +983,7 @@ class TestWindows:
         lo, hi = 10**8 - 2**20 + 1, 10**8
 
         def run():
-            return census._compare_window(lo, hi, scan_cfg, w, _START, primes, False, ws)
+            return census._compare_window(lo, hi, scan_cfg, w, primes, False, ws)
 
         want = run()
         tracing = tracemalloc.is_tracing()
@@ -1130,7 +1129,7 @@ class TestTripleCount:
         report = verify_range(CensusConfig(n_max=n_max))
         assert report.equalities == triple_count(n_max) == pinned
         # the argument's premise: tau(n) >= 8 * (1 + 2^7) needs tau(n) >= 1032
-        t, _ = _tau_segment(1, n_max, _START, _scan_primes(isqrt(n_max)))
+        t, _ = _tau_segment(1, n_max, _scan_primes(isqrt(n_max)))
         assert int(t.max()) < 1032
 
 

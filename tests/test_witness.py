@@ -294,10 +294,8 @@ class TestConstructWitness:
     @pytest.mark.parametrize("bad_d", [2 * 7, 2 * 3 * 5, 2 * 2])
     def test_recheck_rejects_a_wrong_choice(self, monkeypatch, bad_d):
         # a chooser whose d has a prime n lacks, a prime power n lacks or a
-        # fourth power above n is a fault, whatever label and tau it reports
-        monkeypatch.setattr(
-            witness_module, "_dispatch_m", lambda *parts: (bad_d, 2, "rigged")
-        )
+        # fourth power above n is a fault, whatever label it reports
+        monkeypatch.setattr(witness_module, "_dispatch_m", lambda *parts: (bad_d, "rigged"))
         with pytest.raises(CertificationError):
             construct_witness(2 * 3 * 5 * 11 * 13)
 
