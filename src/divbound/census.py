@@ -9,35 +9,40 @@ harvesting multiples of each small d, so no n is factorized on its own.
 Both start from patterns of period _PERIOD = 151200 in n. The tau start,
 a read-only constant built at import by the sieve's own prime-power step,
 holds the p^j that divide _PERIOD, and the sieve adds the other p^j of
-the primes up to the cube root of hi. Alongside tau it sums acc, a
-fixed-point 8 log2 of the sieved part of n, with each
-r_p = round(8 log2 p) computed once per scan. A prime between the cube
+the primes up to the cube root of hi. Alongside tau it keeps a word per
+n: its low half sums acc, a fixed-point 8 log2 of the sieved part of n,
+with each r_p = round(8 log2 p) computed once per scan, and its high half
+counts the sieved primes p > 7 with v_p(n) = 1, so that such a p's first
+pass is one add to the word and none over tau. A prime between the cube
 and the square root of hi divides n at most twice and touches only a
-second log sum, from which one shift of tau takes both the count of such
-primes and the single prime above sqrt(hi) that may be left over. S
-starts from the prefix pattern, the weights of the d | _PERIOD with
-d^k <= lo, and every other d adds its weight from max(lo, d^k) on, one
-strided slice per d. Only integer S takes the pattern: integer sums do
-not depend on the order of the adds, and float64 sums keep the ascending
+second log sum, sieved once per block of up to four windows, from which
+one shift of tau takes the count of such primes, the word's count and the
+single prime above sqrt(hi) that may be left over. S starts from two
+prefix patterns, of periods _PERIOD and _PERIOD2 = 10296: the weights of
+the d with d^k <= lo that divide _PERIOD, and of those that divide only
+_PERIOD2. Every other d adds its weight from max(lo, d^k) on, one strided
+slice per d. Only integer S takes the patterns: integer sums do not
+depend on the order of the adds, and float64 sums keep the ascending
 order of d bit for bit.
 
 Each worker thread of a scan keeps one _Workspace: tau, sqfree, S, a
-scratch block for the sieve's log sums and then the ratios, and the
-prefix pattern, updated only when the window's prefix changes. All are
-reused from window to window, so a warm window allocates no array of its
-length. verify_range makes them and drops them when it returns; the
-module keeps no mutable state.
+scratch block for the sieve's word and log sum and then the ratios, the
+block's second log sum, and the prefix patterns, updated only when the
+window's prefix changes. All are reused from window to window, so a warm
+window allocates no array of its length. verify_range makes them and
+drops them when it returns; the module keeps no mutable state.
 
 On the exact path the weights are clamped and C is replaced by a stand-in
 c that orders every tau / S as C does (see _weight_table), so S is int32
 or int64; clamping lowers only ratios below 1, and S(1) = 1.
 
-The integer arrays are as narrow as a proven bound allows. Each value the
-sieve gives tau is the tau of a divisor of some n <= hi, and divisors
-pair up around sqrt(n), so it is at most 2 sqrt(hi), or 4 tau(n / p^2) <=
-2 sqrt(hi) at the multiples of the square of a prime p above the cube
-root: int16 below 2^28, int32 below 2^60. acc and the second log sum stay
-below 8.5 log2 hi: uint8 below 2^28, uint16 above. S takes the weight
+The integer arrays are as narrow as a proven bound allows, with hi the
+last n of the window's block. Each value the sieve gives tau is the tau
+of a divisor of some n <= hi, and divisors pair up around sqrt(n), so it
+is at most 2 sqrt(hi), or 4 tau(n / p^2) <= 2 sqrt(hi) at the multiples of
+the square of a prime p above the cube root: int16 below 2^28, int32
+below 2^60. acc and the second log sum stay below 8.5 log2 hi: uint8
+below 2^28, uint16 above; the word is twice as wide. S takes the weight
 table's dtype: int32 when c's numerator times the sum of the clamped
 weights and c's denominator times 2 sqrt(n_max) stay below 2^31. tau is
 widened to it only to be multiplied by c's denominator.
@@ -90,14 +95,16 @@ FLOAT_REL_TOL = 1e-9  # comparison tolerance on the non-integer-eta path
 _RECORD_DIGITS = 4300  # Python's default digit limit on int <-> text, json's too
 
 # Segments are compared this many n at a time, in a workspace of this
-# many n per worker thread: 11.5 MB at the top of [1, 10^8]. With it warm,
-# a 2^22 segment there peaks at 0.5 MB in tracemalloc (1.5 MB with its
-# equality list; 12.1 MB when it makes the workspace). The scan of
-# [1, 10^8] on two threads took 2.30, 1.68, 1.27, 1.20 and 1.18 s with
-# windows of 2^18 to 2^22 (medians of 3, 2-core Xeon), at 46, 58, 81 and
-# 127 MB peak RSS for 2^19 to 2^22; 2^20 keeps most of the speed and the
-# RSS of a scan of fresh windows.
+# many n per worker thread: 15.6 MB at the top of [1, 10^8], 4 MB of it
+# the large primes' log sum of a block of up to _BLOCK n, sieved once for
+# the block's windows. With it warm, a 2^22 segment there peaks at 0.4 MB
+# in tracemalloc (1.5 MB with its equality list; 16.8 MB when it makes the
+# workspace). The scan of [1, 10^8] on two threads took 2.30, 1.68, 1.27,
+# 1.20 and 1.18 s with windows of 2^18 to 2^22 (medians of 3, 2-core Xeon,
+# before blocks), at 46, 58, 81 and 127 MB peak RSS for 2^19 to 2^22;
+# 2^20 keeps most of the speed and the RSS of a scan of fresh windows.
 _WINDOW = 1 << 20
+_BLOCK = 4 * _WINDOW
 
 
 class CheckpointError(RuntimeError):
@@ -339,27 +346,56 @@ def _log_weight(p: int) -> int:
 
 # The period of the harvest and of the tau sieve's start. 151200 =
 # 2^5 * 3^3 * 5^2 * 7 is divisible by 42 of the 100 d of the default scan,
-# every d <= 10 among them.
+# every d <= 10 among them. The harvest's second period, 10296 =
+# 2^3 * 3^2 * 11 * 13, takes 12 more: 11, 13, 22, 26, 33, 39, 44, 52, 66,
+# 78, 88 and 99, the d that divide it but not _PERIOD.
 _PERIOD = 151200
 _PERIOD_DIVISORS = tuple(sorted(
     2**a * 3**b * 5**c * 7**e
     for a in range(6) for b in range(4) for c in range(3) for e in range(2)
 ))
+_PERIOD2 = 10296
+_PERIOD2_DIVISORS = tuple(sorted(
+    2**a * 3**b * 11**c * 13**e
+    for a in range(4) for b in range(3) for c in range(2) for e in range(2) if c or e
+))
+
+
+def _grow_pattern(state: tuple, w: np.ndarray, divisors: tuple, root: int) -> tuple:
+    """state = (w, m, pattern) with pattern[i] the sum of w[d] over the
+    first m divisors d that divide i, i in [0, len(pattern)), the period,
+    which is the last of the divisors: the same state for the d <= root. Only new d are added when the set
+    grows under the same w; another w or a smaller set rebuilds the pattern
+    from zero, in its buffer when the dtype allows."""
+    m = bisect_right(divisors, root)
+    last_w, last_m, pattern = state
+    if last_w is w and last_m == m:
+        return state
+    if last_w is not w or last_m > m:
+        if pattern is None or pattern.dtype != w.dtype:
+            pattern = np.empty(divisors[-1], dtype=w.dtype)
+        pattern.fill(0)
+        last_m = 0
+    for d in divisors[last_m:m]:
+        pattern[::d] += w[d]
+    return w, m, pattern
 
 
 class _Workspace:
     """One worker's window buffers, reused from window to window: tau,
     sqfree and S, each made on first use for size n and again only for
-    another dtype, a scratch block of block_bytes per n, and the prefix
-    pattern. A kernel returns views into them, valid until its next
-    window. verify_range makes one per worker thread for the scan; a
-    kernel called without one makes its own, so it allocates as a fresh
-    array would."""
+    another dtype, a scratch block of block_bytes per n, the large primes'
+    log sum of the current block, and the prefix patterns. A kernel returns
+    views into them, valid until its next window. verify_range makes one
+    per worker thread for the scan; a kernel called without one makes its
+    own, so it allocates as a fresh array would."""
 
     def __init__(self, size: int, block_bytes: int):
         self.size, self.block_bytes = size, block_bytes
         self._arrays: dict[str, np.ndarray] = {}
         self._prefix: tuple = (None, 0, None)  # w, d count and pattern of the last build
+        self._prefix2: tuple = (None, 0, None)  # the same for _PERIOD2_DIVISORS
+        self._large: tuple = (None, None, 0, [])  # block, primes, next lo, squares
 
     def take(self, name: str, dtype, length: int, width: int = 1) -> np.ndarray:
         """The first width * length elements of buffer name in dtype."""
@@ -369,32 +405,56 @@ class _Workspace:
             self._arrays[name] = arr
         return arr[: width * length]
 
-    def block(self, length: int) -> np.ndarray:
-        """The scratch block's first block_bytes * length bytes, as uint8."""
-        return self.take("block", np.uint8, length, self.block_bytes)
+    def block(self, length: int, width: int = 0) -> np.ndarray:
+        """The scratch block's first max(block_bytes, width) * length bytes,
+        as uint8."""
+        return self.take("block", np.uint8, length, max(self.block_bytes, width))
 
-    def prefix(self, w: np.ndarray, root: int) -> np.ndarray | None:
-        """The prefix pattern: pattern[i] = sum of w[d] over the d | _PERIOD
-        with d <= root that divide i, i in [0, _PERIOD); None for float64
-        weights. Kept in one _PERIOD-element buffer of w's dtype (0.6 MB in
-        int32): when that set of d grows under the same w, as it does over a
-        worker's ascending segments, only the new d are added; another w or
-        a smaller set rebuilds it from zero."""
+    def prefix(self, w: np.ndarray, root: int) -> tuple | None:
+        """The prefix patterns of period _PERIOD and _PERIOD2: at i, the
+        sum of w[d] over the d <= root in _PERIOD_DIVISORS, and in
+        _PERIOD2_DIVISORS, that divide i; None for float64 weights, and
+        None in place of the second pattern while it holds no d. Each is
+        kept in one buffer of w's dtype (0.6 MB and 41 KB in int32) and
+        grows in place over a worker's ascending segments (_grow_pattern)."""
         if w.dtype.kind != "i":
             return None
-        m = bisect_right(_PERIOD_DIVISORS, root)
-        last_w, last_m, pattern = self._prefix
-        if last_w is w and last_m == m:
-            return pattern
-        if last_w is not w or last_m > m:
-            if pattern is None or pattern.dtype != w.dtype:
-                pattern = np.empty(_PERIOD, dtype=w.dtype)
-            pattern.fill(0)
-            last_m = 0
-        for d in _PERIOD_DIVISORS[last_m:m]:
-            pattern[::d] += w[d]
-        self._prefix = (w, m, pattern)
-        return pattern
+        self._prefix = _grow_pattern(self._prefix, w, _PERIOD_DIVISORS, root)
+        self._prefix2 = _grow_pattern(self._prefix2, w, _PERIOD2_DIVISORS, root)
+        return self._prefix[2], self._prefix2[2] if self._prefix2[1] else None
+
+    def large_primes(
+        self, block: tuple[int, int], lo: int, hi: int, primes: list[tuple[int, int]],
+        cube: int,
+    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The window [lo, hi]'s slice of its block's big, the log sum of
+        the primes p > cube (see _tau_segment), and the (first index, p^2) of
+        each large p^2 with a multiple in the window. big is sieved over
+        the whole block [blo, bhi] on its first window, once per block for
+        windows taken in ascending order; each window then spends its slice
+        in place, so a window at or below one already taken sieves the
+        block again."""
+        blo, bhi = block
+        last_block, last_primes, next_lo, squares = self._large
+        big = self.take("big", _tau_dtypes(bhi)[1], bhi - blo + 1)
+        if last_block != block or last_primes is not primes or lo < next_lo:
+            start = bisect_right(primes, cube, key=lambda pr: pr[0])
+            big.fill(0)
+            squares = []
+            for p, r in primes[start:]:
+                q = p * p
+                if q > bhi:
+                    break
+                s = (-blo) % p
+                if s <= bhi - blo:
+                    big[s::p] += r
+                    s = (-blo) % q
+                    if s <= bhi - blo:
+                        big[s::q] += r
+                        squares.append(q)
+        self._large = (block, primes, hi + 1, squares)
+        return big[lo - blo : hi - blo + 1], [
+            (s, q) for q in squares if (s := (-lo) % q) <= hi - lo]
 
 
 def _tile(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
@@ -406,12 +466,27 @@ def _tile(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
         i, off = i + m, 0
 
 
+def _add_tiled(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """out[i] += pattern[(lo + i) % len(pattern)] for every i: a head up to
+    the first multiple of the period, one broadcast add over the whole
+    periods as rows, and a tail."""
+    period, n, off = len(pattern), len(out), lo % len(pattern)
+    head = min(-lo % period, n)
+    out[:head] += pattern[off : off + head]
+    rows = (n - head) // period
+    body = out[head : head + rows * period].reshape(rows, period)
+    body += pattern
+    tail = out[head + rows * period :]
+    tail += pattern[: len(tail)]
+
+
 def _power_step(tau, acc, sqfree, s: int, q: int, j: int, r: int) -> None:
     """The tau sieve's pass over the multiples of q = p^j, the indices s,
     s + q, ...: at j = 1 tau doubles; at j >= 2 tau is divided by j and
     multiplied by j + 1, and at j = 2 sqfree is cleared. The division is
     exact: every multiple of p^j is a multiple of p^(j-1), whose pass left
-    the factor j in its tau. acc gains r = r_p."""
+    the factor j in its tau. acc, or the low half of _tau_segment's word,
+    gains r = r_p."""
     view = tau[s::q]
     if j > 1:
         view //= j
@@ -446,28 +521,44 @@ _TAU_START = _tau_start()  # the tau sieve's start, built once per process: 0.45
 
 def _tau_segment(
     lo: int, hi: int, primes: list[tuple[int, int]], ws: _Workspace | None = None,
+    block: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi).
+    """tau(n) and a squarefree flag for every n in [lo, hi] (1 <= lo <= hi),
+    a window of the block [blo, top], or its own block when block is None.
 
-    primes must hold every sieving prime, p^2 <= hi, ascending, as the
-    (p, r_p) pairs of _scan_primes. tau, acc and sqfree start from a copy
-    of _TAU_START, which holds every p^j | n with p^j | _PERIOD. A strided
-    sieve adds the other powers of the small sieving primes,
-    p <= max(7, icbrt(hi)): for each q = p^j <= hi that does not divide
-    _PERIOD, the multiples of q in the window are the basic slice
-    [(-lo) % q :: q], which takes q's _power_step; its division is exact
-    also after the start, made by the same passes. A p | _PERIOD with
-    p^2 > hi divides n at most once, which the start holds.
+    Below, hi stands for top, the block's last n: E, the cube root and the
+    dtypes come from it, so the proof covers every n of the block and its
+    windows sieve alike. primes must hold every sieving prime, p^2 <= hi,
+    ascending, as the (p, r_p) pairs of _scan_primes.
+
+    tau, sqfree and a word per n start from a copy of _TAU_START, which
+    holds every p^j | n with p^j | _PERIOD. The word's low half is acc,
+    which starts as the start's log sum; above it, from unit = 2^shift on,
+    it counts primes. A strided sieve adds the other powers of the small
+    sieving primes, p <= max(7, icbrt(hi)): for each q = p^j <= hi that
+    does not divide _PERIOD, the multiples of q in the window are the basic
+    slice [(-lo) % q :: q]. For p <= 7 that slice takes q's _power_step,
+    whose division is exact also after the start, made by the same passes.
+    A p > 7 makes one pass at j = 1, which adds unit + r_p to the word:
+    tau's factor 2 becomes a count. At j = 2, tau is multiplied by 3 and
+    the word gains r_p - unit, modulo its range, which takes the count back
+    where v_p(n) >= 2. From j = 3 on, _power_step's division by j is exact:
+    the pass of p^(j - 1) left the factor j, 3 at j = 3. So tau is the
+    product of v_p(n) + 1 over 2, 3, 5, 7 and the small p > 7 with
+    v_p(n) >= 2, the count is the number of small p > 7 with v_p(n) = 1,
+    and acc sums v_p(n) r_p over the small p. A p | _PERIOD with p^2 > hi
+    divides n at most once, which the start holds.
 
     A large sieving prime, p > max(7, icbrt(hi)), has p^3 > hi, so an
     n <= hi has at most two of them, counted with multiplicity. Such a p
-    takes no pass over tau or acc: it adds r_p to big, a second log sum, at
-    its multiples and again at those of p^2, where it clears sqfree. Let
-    2^E <= hi < 2^(E + 1). One large prime leaves big = r_p <
-    8 log2 p + 1/2 <= 4 log2 hi + 1/2, so big <= 4E + 4; two leave
-    big > 8 log2 (p1 p2) - 1 > (16/3) log2 hi - 1 > 4E + 4, as E >= 6
-    once a large prime exists (p >= 11, so hi >= 121), and
-    big < 8 log2 hi + 1, so big <= 8E + 8. So their count k is
+    takes no pass over tau or the word: it adds r_p to big, a second log
+    sum, at its multiples and again at those of p^2, where it clears sqfree.
+    big is sieved once for the whole block (_Workspace.large_primes) and
+    each window spends its slice. Let 2^E <= hi < 2^(E + 1). One large
+    prime leaves big = r_p < 8 log2 p + 1/2 <= 4 log2 hi + 1/2, so
+    big <= 4E + 4; two leave big > 8 log2 (p1 p2) - 1 > (16/3) log2 hi - 1 >
+    4E + 4, as E >= 6 once a large prime exists (p >= 11, so hi >= 121),
+    and big < 8 log2 hi + 1, so big <= 8E + 8. So their count k is
     ceil(big / (4E + 4)), computed in place as
     ceil(ceil(big / 2) / (2E + 2)).
 
@@ -484,67 +575,85 @@ def _tau_segment(
     8.5 log2 (n / q) < 8.5 (b + 1 - E/2), which is at most 8b - E when
     0.5 b + 8.5 <= 3.25 E, true for b <= E and E >= 4. So the cofactor is
     a prime exactly where acc + big < max(8b - E, 0), a flag that
-    overwrites acc one power-of-two block at a time. Two large primes
+    overwrites acc one power-of-two range at a time. Two large primes
     leave no room for a cofactor above sqrt(hi), so tau shifts once, by
-    the flag plus k, at most 2. That multiplies tau by 4 at the multiples
-    of a large p^2, where v_p(n) + 1 is 3, so they take 3/4 afterwards.
+    the count plus the flag plus k. That multiplies tau by 4 at the
+    multiples of a large p^2, where v_p(n) + 1 is 3, so they take 3/4
+    afterwards.
 
-    tau and acc take the dtypes of _tau_dtypes(hi), which hold every value
-    they pass through. Each value of tau, also between the division and
-    the multiplication, is the tau of a divisor of n, so at most
-    2 sqrt(hi), but at the multiples of a large p^2 before the 3/4: there
-    it is 4 tau(n / p^2) <= 8 (hi / p^2)^(1/2) < 8 hi^(1/6) <= 2 sqrt(hi),
-    as hi >= 64. acc + big < 8.5 log2 hi, under 238 below 2^28, bounds acc
-    and big, and k's steps keep big at most 8E + 9. The returned tau is
-    therefore int16 below 2^28; callers widen it before any arithmetic
-    that could leave that range. acc and big take the first bytes of the
-    workspace's scratch block; tau and sqfree are its buffers.
+    tau, acc and big take the dtypes of _tau_dtypes(hi), which hold every
+    value they pass through, and the word is twice as wide as acc, uint16
+    below 2^28 and uint32 above. Each value of tau, also between the
+    division and the multiplication, is the tau of a divisor of n, so at
+    most 2 sqrt(hi), but at the multiples of a large p^2 before the 3/4:
+    there it is 4 tau(n / p^2) <= 8 (hi / p^2)^(1/2) < 8 hi^(1/6) <=
+    2 sqrt(hi), as hi >= 64. acc + big < 8.5 log2 hi, under 238 below 2^28,
+    bounds acc, so the word's low half, and big, and k's steps keep big at
+    most 8E + 9. The count is at most the number of primes from 11 on whose
+    product is at most hi: 6 below 2^28 and 12 below 2^60, far inside the
+    high half; it is at least 1 where the j = 2 pass takes it back, as
+    every multiple of p^2 is one of p. The final shift is at most the count
+    plus 2. The returned tau is therefore int16 below 2^28; callers widen
+    it before any arithmetic that could leave that range. The word and acc
+    take the first 3 bytes per n of the workspace's scratch block (6 from
+    2^28); tau and sqfree are its buffers.
     """
     length = hi - lo + 1
-    tau_dtype, acc_dtype = _tau_dtypes(hi)
+    blo, top = block or (lo, hi)
+    tau_dtype, acc_dtype = _tau_dtypes(top)
     width = np.dtype(acc_dtype).itemsize
-    ws = ws or _Workspace(length, 2 * width)
+    shift = 8 * width  # the word: the log in its low half, the count above
+    unit, down = 1 << shift, (1 << 2 * shift) - (1 << shift)
+    ws = ws or _Workspace(length, 3 * width)
     tau, sqfree = ws.take("tau", tau_dtype, length), ws.take("sqfree", bool, length)
-    acc, big = ws.block(length)[: 2 * width * length].view(acc_dtype).reshape(2, length)
-    for a, out in zip(_TAU_START, (tau, acc, sqfree)):
+    scratch = ws.block(length, 3 * width)
+    word = scratch[: 2 * width * length].view(f"u{2 * width}")
+    acc = scratch[2 * width * length : 3 * width * length].view(acc_dtype)
+    for a, out in zip(_TAU_START, (tau, word, sqfree)):
         _tile(a, lo, out)
-    big.fill(0)
-    cube = max(7, integer_kth_root(hi, 3))
-    squares = []  # (first index, p^2) of each large p^2 with a multiple here
+    cube = max(7, integer_kth_root(top, 3))
     for p, r in primes:
-        q, j = p, 1
-        if q * q > hi:
-            break
         if p > cube:
+            break
+        q, j = p, 1
+        if p > 7:  # p's first two passes put v_p = 1 into the word's count
             s = (-lo) % p
-            if s < length:
-                big[s::p] += r
-                q *= p
-                s = (-lo) % q
-                if s < length:
-                    big[s::q] += r
-                    sqfree[s::q] = False
-                    squares.append((s, q))
-            continue
+            if s >= length:
+                continue
+            word[s::p] += unit + r
+            q = p * p
+            s = (-lo) % q
+            if s >= length:
+                continue
+            tau[s::q] *= 3
+            word[s::q] += down + r  # takes the count back, modulo the word
+            sqfree[s::q] = False
+            q, j = q * p, 3
         while _PERIOD % q == 0:  # the start holds p^j
             q, j = q * p, j + 1
         while q <= hi:
             s = (-lo) % q
             if s >= length:
                 break  # no multiple of q here, nor of any higher power
-            _power_step(tau, acc, sqfree, s, q, j, r)
+            _power_step(tau, word, sqfree, s, q, j, r)
             q, j = q * p, j + 1
-    E = hi.bit_length() - 1
+    big, squares = ws.large_primes((blo, top), lo, hi, primes, cube)
+    for s, q in squares:
+        sqfree[s::q] = False
+    E = top.bit_length() - 1
+    np.bitwise_and(word, unit - 1, out=acc)
+    word >>= shift  # the count of the p > 7 with v_p(n) = 1
     acc += big  # the log of P
     big += 1  # big becomes k = ceil(ceil(big / 2) / (2E + 2))
     big >>= 1
     big += 2 * E + 1
     big //= 2 * E + 2
-    for b in range(lo.bit_length() - 1, E + 1):
+    for b in range(lo.bit_length() - 1, hi.bit_length()):
         a, z = max(lo, 1 << b) - lo, min(hi, (2 << b) - 1) - lo + 1
         np.less(acc[a:z], max(8 * b - E, 0), out=acc[a:z])
     acc += big
-    tau <<= acc  # one pass over tau for the cofactor and the large primes
+    acc += word
+    tau <<= acc  # one pass over tau for the count, the cofactor and the large primes
     for s, q in squares:
         view = tau[s::q]
         view >>= 2
@@ -558,9 +667,10 @@ def _harvest_segment(
     """S(n) for every n in [lo, hi]: each d with d^k <= hi contributes
     weight(d) to its multiples n >= d^k.
 
-    S starts from the workspace's prefix pattern, which holds w[d] at the
+    S starts from the workspace's prefix patterns, which hold w[d] at the
     multiples of each d | _PERIOD with d^k <= lo (d | n exactly when
-    d | n % _PERIOD); every other d adds w[d] at its multiples from
+    d | n % _PERIOD), and of each d | _PERIOD2 with d^k <= lo that does not
+    divide _PERIOD; every other d adds w[d] at its multiples from
     max(lo, d^k) on. S is only added to, so it stays in [0, sum of w] and
     the order of integer adds does not matter; float64 weights take no
     pattern and add in ascending d. S is the workspace's buffer.
@@ -569,14 +679,16 @@ def _harvest_segment(
     ws = ws or _Workspace(length, 0)
     S = ws.take("S", w.dtype, length)
     root = integer_kth_root(lo, cfg.k)
-    pattern = ws.prefix(w, root)
-    if pattern is None:
+    patterns = ws.prefix(w, root)
+    if patterns is None:
         S.fill(0)
     else:
-        _tile(pattern, lo, S)
+        _tile(patterns[0], lo, S)
+        if patterns[1] is not None:
+            _add_tiled(patterns[1], lo, S)
     d = 1
     while d**cfg.k <= hi:
-        if pattern is None or d > root or _PERIOD % d:
+        if patterns is None or d > root or (_PERIOD % d and _PERIOD2 % d):
             start = ((max(lo, d**cfg.k) + d - 1) // d) * d
             if start <= hi:
                 S[start - lo :: d] += w[d]
@@ -629,13 +741,19 @@ def _scan_segment(
     collect: bool, ws: _Workspace,
 ) -> _SegmentResult:
     """[lo, hi] compared _WINDOW n at a time in the worker's workspace,
-    merged into one result. Clamped weights lower only ratios below 1; a
-    best ratio below 1 (no prime in a tiny segment) is redone n by n, so
-    records keep exact S."""
-    res = _merge(lo, hi, [
-        _compare_window(a, min(a + _WINDOW - 1, hi), cfg, w, primes, collect, ws)
-        for a in range(lo, hi + 1, _WINDOW)
-    ], collect)
+    in blocks of at most _BLOCK n that end at hi at the latest, merged into
+    one result. Clamped weights lower only ratios below 1; a best ratio
+    below 1 (no prime in a tiny segment) is redone n by n, so records keep
+    exact S."""
+    windows = []
+    for b_lo in range(lo, hi + 1, _BLOCK):
+        block = (b_lo, min(b_lo + _BLOCK - 1, hi))
+        windows += [
+            _compare_window(a, min(a + _WINDOW - 1, block[1]), cfg, w, primes, collect,
+                            ws, block)
+            for a in range(b_lo, block[1] + 1, _WINDOW)
+        ]
+    res = _merge(lo, hi, windows, collect)
     if cfg.exact and res.max_num < res.max_den:
         res.max_num, res.max_den, res.argmax_n = _scan_segment_python(lo, hi, cfg)
     return res
@@ -661,17 +779,22 @@ def _exact_argmax(
     """(tau, S, n) of the largest exact ratio tau / S among the ascending
     indices cand, the n of index i being lo + i; ties go to the smallest n.
 
-    Only the distinct (tau, S) pairs are compared, each at its first
-    index: a pair's later copies would lose the tie. At the top of
-    [1, 10^8] nearly every candidate is an equality case with the pair
-    (8, 1), so this replaces a Python loop over thousands of candidates
-    per window by one over a handful.
+    A stable sort by (tau, S) keeps ascending index within a pair. In a
+    run of one tau, S ascends, so the run's first candidate has the run's
+    largest ratio and the smallest index among the copies of its pair;
+    every other candidate of the run loses to it. Only those firsts are
+    compared. At the top of [1, 10^8] nearly every candidate is an
+    equality case with the pair (8, 1), so this replaces a Python loop over
+    thousands of candidates per window by one over a handful.
     """
-    pairs, at = np.unique(
-        np.stack((tau[cand], S[cand]), axis=1), axis=0, return_index=True
-    )
+    t, s = tau[cand], S[cand]
+    order = np.lexsort((s, t))
+    t, s = t[order], s[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = t[1:] != t[:-1]
     best = (0, 1, -1)
-    for num, den, i in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), cand[at].tolist()):
+    for num, den, i in zip(t[first].tolist(), s[first].tolist(),
+                           cand[order[first]].tolist()):
         if _ratio_greater(num, den, lo + i, *best):
             best = (num, den, lo + i)
     return best
@@ -683,10 +806,11 @@ def _ratio_dtype(cfg: CensusConfig) -> type:
 
 def _compare_window(
     lo: int, hi: int, cfg: CensusConfig, w: np.ndarray, primes: list[tuple[int, int]],
-    collect: bool, ws: _Workspace | None = None,
+    collect: bool, ws: _Workspace | None = None, block: tuple[int, int] | None = None,
 ) -> _SegmentResult:
     """tau(n) against C * S(n) for every n in [lo, hi], C = cfg.constant
-    (the stand-in c on the exact path), S in the dtype of w.
+    (the stand-in c on the exact path), S in the dtype of w. block is the
+    window's block for the tau sieve (_tau_segment).
 
     Ratios tau / S, float32 on the exact path and float64 on the float
     path, -inf where squarefree_only excludes n, pick the candidates with
@@ -703,7 +827,7 @@ def _compare_window(
     """
     length, rdt = hi - lo + 1, _ratio_dtype(cfg)
     ws = ws or _Workspace(length, np.dtype(rdt).itemsize)
-    tau, sqfree = _tau_segment(lo, hi, primes, ws)
+    tau, sqfree = _tau_segment(lo, hi, primes, ws, block)
     S = _harvest_segment(lo, hi, cfg, w, ws)
     ratio = ws.block(length).view(rdt)[:length]
     np.divide(tau, S, out=ratio, dtype=rdt)

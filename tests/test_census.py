@@ -11,7 +11,7 @@ import tracemalloc
 from bisect import bisect_right
 from dataclasses import asdict, replace
 from fractions import Fraction
-from math import isqrt, log2
+from math import isqrt, log2, prod
 
 import numpy as np
 import pytest
@@ -78,6 +78,54 @@ def _tau_reference(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         t *= e + 1
         sqfree &= e < 2
     return t << (n > 1), sqfree
+
+
+def _check_block(blo: int, bhi: int, cuts) -> None:
+    """The block [blo, bhi], cut into windows before each n in cuts and
+    sieved window by window in ascending order through one workspace: each
+    window has the tau values and sqfree flags of the same window sieved
+    alone, and the block's tau dtype."""
+    primes = _scan_primes(isqrt(bhi))
+    ws = census._Workspace(bhi - blo + 1, 4)
+    edges = [blo] + sorted({c for c in cuts if blo < c <= bhi}) + [bhi + 1]
+    for lo, end in zip(edges, edges[1:]):
+        t, sq = _tau_segment(lo, end - 1, primes, ws, (blo, bhi))
+        want_t, want_sq = _tau_segment(lo, end - 1, primes)
+        assert t.dtype == _tau_dtypes(bhi)[0]
+        assert t.tolist() == want_t.tolist(), (blo, bhi, lo)
+        assert sq.tolist() == want_sq.tolist(), (blo, bhi, lo)
+
+
+# Blocks and the cuts of their windows: windows on either side of 2^b,
+# where the cofactor test's cut 8b - E moves; blocks across and ending at
+# 2^28, whose windows below it take int32 tau and a uint16 log in the
+# block; blocks across m^3, where the block's cube root exceeds that of
+# its first windows (m = 11, 13, 463, 464); windows that split p^2 and
+# p1 p2 for large primes of the block; and the largest count of primes
+# p > 7 with v_p(n) = 1 below 2^28, six at 8 * 11 * 13 * ... * 29.
+_BLOCK_CASES = (
+    [(2**b - 3000, 2**b + 2000, (2**b - 999, 2**b, 2**b + 1)) for b in (12, 17, 22, 27)]
+    + [(2**28 - 3000, 2**28 + 1000, (2**28 - 1, 2**28)),
+       (2**28 - 4000, 2**28, (2**28 - 2999, 2**28 - 1500, 2**28))]
+    + [(max(1, m**3 - 3000), m**3 + 500, (m**3 - 700, m**3, m**3 + 1))
+       for m in (11, 13, 463, 464)]
+    + [(p * p - 2000, p * p + 3000, (p * p, p * p + 1, p * q))
+       for p, q in ((467, 479), (9973, 10007))]
+    + [(246464504 - 5000, 246464504 + 100, (246464504 - 3, 246464504 + 1))]
+)
+
+
+@st.composite
+def _block_cases(draw) -> tuple[int, int, list[int]]:
+    """A block of 1 to 6000 n anywhere in [1, 2^28 + 2^21] or ending within
+    4096 of 2^28, and up to five cuts into windows."""
+    length = draw(st.integers(1, 6000))
+    if draw(st.booleans()):
+        bhi = (1 << 28) + draw(st.integers(-4096, 4096))
+    else:
+        bhi = draw(st.integers(length, (1 << 28) + (1 << 21)))
+    blo = max(1, bhi - length + 1)
+    return blo, bhi, draw(st.lists(st.integers(blo, bhi), max_size=5))
 
 
 _TAU_EDGE_WINDOWS = (
@@ -166,6 +214,33 @@ def _harvest_cases(draw) -> tuple[int, np.ndarray, int, int]:
     else:
         lo = max(1, p**k - length - draw(st.integers(0, 1000)))
     return k, w, lo, min(lo + length - 1, 10**8)
+
+
+@st.composite
+def _second_period_cases(draw) -> tuple[int, np.ndarray, list[tuple[int, int]]]:
+    """(k, w, windows): random int32 or int64 weights for every d^k <= 10^8,
+    with a total just below the dtype's bound, and one to three windows of
+    [1, 10^8] of up to three periods _PERIOD2 each. A window straddles or
+    ends below p^k for a p of _PERIOD2_DIVISORS with p^k <= 10^8, or starts
+    within 2 of a multiple of _PERIOD2."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    d_max = integer_kth_root(10**8, k)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = ((1 << 31) - 1 if dtype is np.int32 else 1 << 62) // (d_max + 1)
+    w = rng.integers(0, top, size=d_max + 1, endpoint=True, dtype=dtype)
+    w[0] = 0
+    windows = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 3 * census._PERIOD2))
+        if draw(st.booleans()):
+            p = draw(st.sampled_from([d for d in census._PERIOD2_DIVISORS if d <= d_max]))
+            lo = min(max(1, p**k - draw(st.integers(-length, length))), 10**8)
+        else:
+            m = draw(st.integers(1, 10**8 // census._PERIOD2 - 4))
+            lo = m * census._PERIOD2 + draw(st.integers(-2, 2))
+        windows.append((lo, min(lo + length - 1, 10**8)))
+    return k, w, windows
 
 
 def _unclamped_table(cfg: CensusConfig, dtype) -> np.ndarray:
@@ -488,6 +563,50 @@ class TestSegmentKernels:
         assert np.array_equal(t, want_t)
         assert np.array_equal(sq, want_sq)
 
+    @pytest.mark.parametrize("blo, bhi, cuts", _BLOCK_CASES)
+    def test_windows_of_a_block_match_windows_alone(self, blo, bhi, cuts):
+        _check_block(blo, bhi, cuts)
+
+    @given(case=_block_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_block_property(self, case):
+        _check_block(*case)
+
+    def test_block_is_sieved_again_for_a_window_taken_before(self):
+        # a window spends its slice of the block's log sum; the same window
+        # again, or an earlier one, must not read the spent slice
+        blo, bhi = 10**8 - 9999, 10**8
+        primes = _scan_primes(10**4)
+        ws = census._Workspace(bhi - blo + 1, 4)
+        for lo, hi in [(blo, blo + 4999), (blo, blo + 4999), (blo + 5000, bhi),
+                       (blo + 2000, blo + 2999), (blo + 5000, bhi)]:
+            t, sq = _tau_segment(lo, hi, primes, ws, (blo, bhi))
+            want_t, want_sq = _tau_segment(lo, hi, primes)
+            assert np.array_equal(t, want_t) and np.array_equal(sq, want_sq), (lo, hi)
+
+    def test_word_fields_hold_their_largest_values(self):
+        # the word keeps the log of the sieved part of n in its low half and
+        # the count of primes p > 7 with v_p(n) = 1 above it. The proof
+        # bounds the log by 8.5 log2 hi and the count by the most such
+        # primes whose product stays below hi: 6 below 2^28, 12 below 2^60
+        ps = [p for p in sieve_primes(100) if p > 7]
+        for top, most in ((2**28 - 1, 6), (2**60 - 1, 12)):
+            assert prod(ps[:most]) <= top < prod(ps[: most + 1])
+            acc_dtype = _tau_dtypes(top)[1]
+            shift = 8 * np.dtype(acc_dtype).itemsize
+            log = int(8.5 * log2(top))
+            assert log < 1 << shift
+            word = np.array([(most << shift) + log], dtype=f"u{shift // 4}")
+            acc = np.empty(1, dtype=acc_dtype)
+            np.bitwise_and(word, (1 << shift) - 1, out=acc)
+            word >>= shift
+            assert (int(acc[0]), int(word[0])) == (log, most)
+        # the kernel at those counts: 8 * 11 * ... * 29 below 2^28, and
+        # 2 * 11 * ... * 31 above it, where tau and the log widen
+        for n in (8 * prod(ps[:6]), 2 * prod(ps[:7])):
+            assert n < 2**31
+            _check_tau_segment(n - 100, n + 100)
+
     def test_log_weight_is_within_half_of_8_log2_p(self):
         for p in sieve_primes(10**5):
             r = _log_weight(p)
@@ -540,6 +659,29 @@ class TestSegmentKernels:
         want = _harvest_reference(lo, hi, k, w)
         assert got.dtype == w.dtype
         assert got.tobytes() == want.tobytes(), (lo, hi)
+
+    @given(case=_second_period_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_two_prefix_patterns_match_reference(self, case):
+        # S from both prefix patterns, the second added as rows of _PERIOD2
+        # plus a head and a tail, and strided adds for every other d,
+        # through one workspace whose patterns grow, shrink and change dtype
+        # from window to window: equal to one strided add per d
+        k, w, windows = case
+        cfg = CensusConfig(n_max=10**8, k=k)
+        ws = census._Workspace(3 * census._PERIOD2, 4)
+        for lo, hi in windows:
+            got = _harvest_segment(lo, hi, cfg, w, ws)
+            assert got.dtype == w.dtype
+            assert np.array_equal(got, _harvest_reference(lo, hi, k, w)), (k, lo, hi)
+
+    def test_second_period_takes_the_d_of_10296_outside_151200(self):
+        assert census._PERIOD2 == 2**3 * 3**2 * 11 * 13
+        assert census._PERIOD2_DIVISORS == tuple(
+            d for d in range(1, census._PERIOD2 + 1)
+            if census._PERIOD2 % d == 0 and _P % d)
+        assert [d for d in census._PERIOD2_DIVISORS if d <= 100] == [
+            11, 13, 22, 26, 33, 39, 44, 52, 66, 78, 88, 99]
 
     def test_prefix_builds_are_bounded_per_worker(self, monkeypatch):
         # each worker takes its segments in ascending order, so it builds
@@ -1022,6 +1164,24 @@ class TestWindows:
         assert out[0] == out[1] == out[2]
         assert len(out[0][3]) == 4 and out[0][1]
 
+    @pytest.mark.parametrize("kwargs", [dict(), dict(k=2), dict(eta=7.5),
+                                        dict(squarefree_only=True)])
+    def test_short_last_blocks_match_one_window_segments(self, monkeypatch, tmp_path,
+                                                         kwargs):
+        # windows of 1000 n in blocks of 4000: a segment of 9500 n takes two
+        # full blocks and a short last one, a window and a half. Reports and
+        # checkpoint records equal those of one window per segment
+        cfg = CensusConfig(n_max=47000, segment_size=9500, workers=2, **kwargs)
+        out = []
+        for window in (census._WINDOW, 1000):
+            monkeypatch.setattr(census, "_WINDOW", window)
+            monkeypatch.setattr(census, "_BLOCK", 4 * window)
+            path = tmp_path / f"scan{window}.ckpt"
+            report = verify_range(cfg, checkpoint=str(path), collect_equalities=True)
+            header, *records = path.read_bytes().splitlines(keepends=True)
+            out.append((report.to_json(), report.equality_ns, header, sorted(records)))
+        assert out[0] == out[1]
+
     @pytest.mark.parametrize("squarefree_only", [False, True])
     def test_windows_of_one_segment_match_small_segments(self, squarefree_only):
         # one 2^22 segment over ~3.3 windows against 2^16 segments of one
@@ -1070,6 +1230,14 @@ class TestWindows:
                 np.array(tau_, dtype=tau_dtype), np.array(S, dtype=S_dtype), idx, lo
             )
             assert got == best
+
+    def test_argmax_takes_the_smallest_sum_of_a_tau(self):
+        # (3, 3) before (3, 2): the later pair of the same tau has the larger
+        # ratio. (16, 2) and (8, 1) tie in ratio, and the smaller n wins
+        tau_ = np.array([3, 3, 16, 8, 3], dtype=np.int16)
+        S = np.array([3, 2, 2, 1, 2], dtype=np.int32)
+        assert census._exact_argmax(tau_, S, np.array([0, 1, 4]), 10) == (3, 2, 11)
+        assert census._exact_argmax(tau_, S, np.arange(5), 10) == (16, 2, 12)
 
 
 class TestWitnessTermInsideSum:
