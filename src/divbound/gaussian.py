@@ -10,24 +10,41 @@ evenly over the rho(d) residue classes.
 
 Every loop over l walks one list, _support(x, gamma): the (l, gamma_l)
 with l^2 < x and gamma_l != 0, ascending. discrepancy_table reads it once
-and never materializes a_n: it walks n <= x in dense numpy blocks of
-_BLOCK values, where each support point l adds gamma_l at l^2 + m^2 for
-the m >= 1 that land in the block and are coprime to l, a mask over the m
-range with the multiples of each prime of l cleared (no index repeats for
-one l, so a fancy-indexed add is exact). The primes of every l come from
-the totient sieve. Each block adds its slice of multiples of d to A_d for
-the d with rho(d) > 0 (the other A_d are 0) and is freed before the next,
-so memory depends on the block size and not on x. The M_d summands are
-built once per table as arrays; each M_d adds those with gcd(l, d) = 1 by
-np.cumsum, one at a time in ascending l, so main_term_M and the table
-give the bits of a plain += loop.
+and never materializes a_n: it counts residue progressions. Take a
+support point l with M = isqrt(x - l^2) and a d with gcd(l, d) = 1. An
+m with d | l^2 + m^2 has m = v*l (mod d) for exactly one root v of
+v^2 + 1 = 0 (mod d). Moebius inversion over the squarefree e | l keeps
+the m coprime to l: for m = e*t, e*t = v*l (mod d) holds exactly when
+t = v*(l/e) (mod d), as gcd(e, d) = 1. So
+
+  #{m <= M : gcd(m, l) = 1, d | l^2 + m^2}
+    = sum over e | rad(l) of mu(e) * sum over roots v of
+      #{1 <= t <= T : t = c (mod d)},  T = floor(M/e), c = v*(l/e) mod d,
+
+where c is taken in [1, d] and the count is floor((T - c)/d) + 1. For
+d >= 3 the roots pair as v, d - v, c is never 0 (v and l/e are units mod
+d), and one pair counts floor((T - c)/d) + floor((T + c)/d) + 1. For
+d <= 2 the one class is t = 1 (mod d). An l sharing a prime p with d
+adds nothing, since p | l^2 + m^2 would force p | m. The table builds the
+entries (l, e) with T > 0 once as flat arrays and, per d, takes the dot
+product of their counts with mu(e) * L * gamma_l: its cost is about the
+sum over d of rho(d)/2 times the number of entries, and it holds no
+array indexed by n. The M_d summands are built once per table as arrays;
+each M_d adds those with gcd(l, d) = 1 by np.cumsum, one at a time in
+ascending l, so main_term_M and the table give the bits of a plain +=
+loop.
 
 The sums stay exact integers: every coefficient is scaled by L, the least
 common multiple of their denominators, and A_d is returned as
-Fraction(L * A_d, L), an int when whole. Since |gamma_l| <= 1, every
-partial sum of L * a_n is bounded by L times the number of pairs with
-l^2 + m^2 <= x, which is at most L * x. The blocks are int64 when
-L * x < 2^63 and Python ints (object dtype) otherwise.
+Fraction(L * A_d, L), an int when whole. The counts of one entry over all
+roots add up to at most T, since the classes are disjoint, and
+sum over e | rad(l) of floor(M/e) <= M * prod over p | l of (1 + 1/p),
+which is below 3M for every l < 10^4 = sqrt(DEFAULT_MAX_X) (the largest
+product, at l = 2310, is 2.99). Summed over l, M counts the lattice
+points (l, m) >= 1 of the quarter disc of radius sqrt(x), at most x. So
+every partial sum of the products is at most 3 * L * x in magnitude; the
+weights are int64 when 3 * L * x < 2^63 and Python ints (object dtype)
+otherwise.
 """
 
 from __future__ import annotations
@@ -54,14 +71,12 @@ __all__ = [
     "discrepancy_table",
 ]
 
-# Largest x a table accepts. At this x, `gaussian --x 10^8 --d-max 10`
-# peaks at 46 MB RSS and runs in 6-7 s on a 2-core Xeon (Python 3.11.7,
-# numpy 2.4.6): the blocks bound memory, so the ceiling caps time.
+# Largest x a table or sequence accepts. It keeps l < 10^4, which the
+# int64 bound of the table's counting kernel relies on, and caps the dict
+# of sequence_a. At this x, `gaussian --x 10^8 --d-max 10` takes 0.04-0.05 s
+# and peaks at 43 MB RSS on a 2-core Xeon (Python 3.11.7, numpy 2.4.6).
 DEFAULT_MAX_X = 10**8
 DEFAULT_COST_CEILING = 10**9
-
-# values of n per dense block of a_n in discrepancy_table
-_BLOCK = 1 << 20
 
 
 class CostCeilingError(RuntimeError):
@@ -184,26 +199,24 @@ def _lift_root(v: int, p: int, a: int) -> int:
     return v
 
 
-def rho(d: int) -> tuple[int, list[int]]:
-    """Count and list the residues v in [0, d) with v^2 + 1 = 0 (mod d).
-
-    Multiplicative in d: 2 roots per prime power p^a with p = 1 (mod 4),
-    one for d | 2, none once 4 | d or a prime 3 (mod 4) divides d.
-    rho(1) = 1 by the empty-modulus convention (the single residue 0).
-    """
+def _roots_and_primes(d: int) -> tuple[list[int], list[int]]:
+    """The residues v in [0, d) with v^2 + 1 = 0 (mod d), ascending, and
+    the distinct primes of d, ascending, from one factorization of d."""
     if d < 1:
         raise ValueError("modulus must be a positive integer")
     if d == 1:
-        return 1, [0]
+        return [0], []
+    factors = factorize(d).factors
+    primes = [p for p, _ in factors]
     components: list[tuple[int, list[int]]] = []
-    for p, a in factorize(d).factors:
+    for p, a in factors:
         pa = p**a
         if p == 2:
             if a >= 2:
-                return 0, []
+                return [], primes
             components.append((2, [1]))
         elif p % 4 == 3:
-            return 0, []
+            return [], primes
         else:
             v = _lift_root(_sqrt_minus_one_mod_p(p), p, a)
             components.append((pa, sorted((v, pa - v))))
@@ -220,6 +233,17 @@ def rho(d: int) -> tuple[int, list[int]]:
     for v in roots:
         if (v * v + 1) % d != 0:
             raise ArithmeticError(f"internal error: {v} is not a root mod {d}")
+    return roots, primes
+
+
+def rho(d: int) -> tuple[int, list[int]]:
+    """Count and list the residues v in [0, d) with v^2 + 1 = 0 (mod d).
+
+    Multiplicative in d: 2 roots per prime power p^a with p = 1 (mod 4),
+    one for d | 2, none once 4 | d or a prime 3 (mod 4) divides d.
+    rho(1) = 1 by the empty-modulus convention (the single residue 0).
+    """
+    roots, _ = _roots_and_primes(d)
     return len(roots), roots
 
 
@@ -280,24 +304,29 @@ def _phi_and_primes(limit: int) -> tuple[list[int], list[list[int]]]:
     return phi.tolist(), primes_of
 
 
-def _main_terms(x: int, support: list, phis: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The support points l and their terms gamma_l * (phi(l)/l) *
-    sqrt(x - l^2), as two arrays in ascending l."""
-    ls = np.array([l for l, _ in support], dtype=np.int64)
+def _main_terms(x: int, support: list, phis: list[int]) -> np.ndarray:
+    """The terms gamma_l * (phi(l)/l) * sqrt(x - l^2) of the support
+    points l, as an array in ascending l."""
     terms = [float(c) * (phis[l] / l) * sqrt(x - l * l) for l, c in support]
-    return ls, np.array(terms, dtype=np.float64)
+    return np.array(terms, dtype=np.float64)
 
 
-def _scaled_main_sum(ls: np.ndarray, terms: np.ndarray, d: int, count: int) -> float:
-    """(count/d) times the terms with gcd(l, d) = 1. np.cumsum adds them
-    one at a time in ascending l, the bits of a plain += loop (np.sum
-    adds pairwise and the builtin sum compensates from Python 3.12)."""
-    if count == 0:
-        return 0.0
+def _coprime_mask(ls: np.ndarray, primes: list[int], masks: dict) -> np.ndarray:
+    """The ls divisible by none of primes; masks caches ls % p != 0 per p."""
     keep = np.ones(len(ls), dtype=bool)
-    for p, _ in factorize(d).factors:
-        keep &= ls % p != 0
-    total = float(np.cumsum(terms[keep])[-1]) if keep.any() else 0.0
+    for p in primes:
+        if p not in masks:
+            masks[p] = ls % p != 0
+        keep &= masks[p]
+    return keep
+
+
+def _scaled_main_sum(terms: np.ndarray, keep: np.ndarray, d: int, count: int) -> float:
+    """(count/d) times the kept terms. np.cumsum adds them one at a time
+    in ascending l, the bits of a plain += loop (np.sum adds pairwise and
+    the builtin sum compensates from Python 3.12)."""
+    kept = terms[keep]
+    total = float(np.cumsum(kept)[-1]) if len(kept) else 0.0
     return count / d * total
 
 
@@ -306,8 +335,14 @@ def main_term_M(x: int, d: int, gamma: GammaSpec) -> float:
     gamma_l * (phi(l)/l) * sqrt(x - l^2), in double precision."""
     if x < 1 or d < 1:
         raise ValueError("x and d must be >= 1")
+    roots, primes = _roots_and_primes(d)
+    if not roots:
+        return 0.0
+    support = _support(x, gamma)
     phis, _ = _phi_and_primes(isqrt(x))
-    return _scaled_main_sum(*_main_terms(x, _support(x, gamma), phis), d, rho(d)[0])
+    ls = np.array([l for l, _ in support], dtype=np.int64)
+    keep = _coprime_mask(ls, primes, {})
+    return _scaled_main_sum(_main_terms(x, support, phis), keep, d, len(roots))
 
 
 @dataclass(frozen=True)
@@ -358,57 +393,82 @@ def discrepancy_table(
     _check_x(x)
     support = _support(x, gamma)
     phis, primes_of = _phi_and_primes(isqrt(x))
-    counts = [rho(d)[0] for d in range(1, d_max + 1)]
-    ds = [d for d in range(1, min(d_max, x) + 1) if counts[d - 1]]
-    sums, scale = _block_sums(x, ds, support, primes_of)
-    main = _main_terms(x, support, phis)
+    terms = _main_terms(x, support, phis)
+    (l, q, t, w), scale = _progression_entries(x, support, primes_of)
+    masks: dict[int, np.ndarray] = {}
     rows = []
     total_err = 0.0
-    for d, count in enumerate(counts, 1):
-        a_d = Fraction(sums.get(d, 0), scale)
-        if a_d.denominator == 1:
-            a_d = int(a_d)
-        m_d = _scaled_main_sum(*main, d, count)
+    for d in range(1, d_max + 1):
+        roots, primes = _roots_and_primes(d)
+        count = len(roots)
+        a_d: int | Fraction = 0
+        m_d = 0.0
+        if count:
+            keep = _coprime_mask(l, primes, masks)
+            m_d = _scaled_main_sum(terms, keep[: len(terms)], d, count)
+            if d <= x:
+                scaled = _scaled_count(d, roots, q[keep], t[keep], w[keep])
+                a_d = Fraction(scaled, scale)
+                if a_d.denominator == 1:
+                    a_d = int(a_d)
         err = abs(float(a_d) - m_d)
         total_err += err
         rows.append(GaussianRow(d, a_d, count, m_d, err))
     return GaussianTable(x, d_max, tuple(rows), total_err)
 
 
-def _block_sums(
-    x: int, ds: list[int], support: list, primes_of: list[list[int]]
-) -> tuple[dict[int, int], int]:
-    """L * A_d(x) for each d in ds and the scale L, the least common
-    multiple of the denominators of the gamma_l. The m coprime to l are a
-    mask over the block's m range, each prime of l cleared by one slice.
+def _progression_entries(
+    x: int, support: list, primes_of: list[list[int]]
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """The entries (l, e) of the counting kernel, one per support point l
+    and squarefree e | l with T = floor(isqrt(x - l^2)/e) > 0, as flat
+    arrays of l, q = l/e, T and the weight mu(e) * L * gamma_l; and the
+    scale L, the least common multiple of the denominators of the gamma_l.
+    The first len(support) entries are those with e = 1, in the order of
+    support, so a mask over the entries starts with one over the support.
+    The weights are int64 when 3 * L * x < 2^63 (the module docstring
+    bounds every partial sum by 3 * L * x) and Python ints otherwise."""
+    scale = lcm(1, *(c.denominator for _, c in support))
+    ls = [l for l, _ in support]
+    qs = ls.copy()
+    ts = [isqrt(x - l * l) for l in ls]
+    ws = [int(c * scale) for _, c in support]
+    n = len(ls)  # the e = 1 entries; the others are appended after them
+    for l, m_max, w_l in zip(ls[:n], ts[:n], ws[:n]):
+        # (e, mu(e) * L * gamma_l); a multiple of an e > m_max has T = 0 too
+        divisors = [(1, w_l)]
+        for p in primes_of[l]:
+            divisors += [(e * p, -w) for e, w in divisors if e * p <= m_max]
+        for e, w in divisors[1:]:
+            ls.append(l)
+            qs.append(l // e)
+            ts.append(m_max // e)
+            ws.append(w)
+    dtype = np.int64 if 3 * scale * x < 1 << 63 else object
+    arrays = (np.array(col, dtype=np.int64) for col in (ls, qs, ts))
+    return (*arrays, np.array(ws, dtype=dtype)), scale
+
+
+def _scaled_count(
+    d: int, roots: list[int], q: np.ndarray, t: np.ndarray, w: np.ndarray
+) -> int:
+    """L * A_d(x) from the entries with gcd(l, d) = 1: the dot product of
+    the weights with the number of t <= T in the root classes mod d.
 
     The table passes the d <= x with rho(d) > 0; every other A_d(x) is 0.
     A d > x has no multiple in [1, x]. A d with rho(d) = 0 has 4 | d or a
-    prime q = 3 (mod 4) with q | d, and divides no l^2 + m^2 with
+    prime p = 3 (mod 4) with p | d, and divides no l^2 + m^2 with
     gcd(l, m) = 1. Coprime l and m are not both even, so l^2 + m^2 is not
-    0 (mod 4). If q | l^2 + m^2, q divides neither l nor m (else both), so
-    (l/m)^2 = -1 (mod q), which has no solution for q = 3 (mod 4)."""
-    scale = lcm(1, *(c.denominator for _, c in support))
-    scaled = [(l, int(c * scale), primes_of[l]) for l, c in support]
-    dtype = np.int64 if scale * x < 1 << 63 else object
-    sums = dict.fromkeys(ds, 0)
-    for lo in range(1, x + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, x)
-        a = np.zeros(hi - lo + 1, dtype=dtype)
-        for l, c, primes in scaled:
-            ll = l * l
-            if ll >= hi:
-                break
-            # the m >= 1 with lo <= ll + m^2 <= hi
-            m_lo = isqrt(lo - ll - 1) + 1 if lo - ll > 1 else 1
-            m = np.arange(m_lo, isqrt(hi - ll) + 1, dtype=np.int64)
-            if primes:
-                keep = np.ones(len(m), dtype=bool)
-                for p in primes:
-                    keep[(-m_lo) % p :: p] = False
-                m = m[keep]
-            a[ll - lo + m * m] += c
-        for d in ds:
-            sums[d] += int(a[(-lo) % d :: d].sum())
-        del a  # freed before the next block is allocated
-    return sums, scale
+    0 (mod 4). If p | l^2 + m^2, p divides neither l nor m (else both), so
+    (l/m)^2 = -1 (mod p), which has no solution for p = 3 (mod 4)."""
+    if d <= 2:
+        # the one class t = 1 (mod d) holds ceil(T/d) of the t <= T
+        counts = (t + d - 1) // d
+    else:
+        # A pair (v, d - v) counts floor((T - u)/d) + floor((T + u)/d) + 1
+        # for u = v * q reduced mod d; shifting u by a multiple of d moves
+        # the two floors oppositely, so u = v * q < d * l <= 10^12 will do.
+        half = roots[: len(roots) // 2]
+        signed = np.array([-v for v in half] + half, dtype=np.int64)
+        counts = ((t + signed[:, None] * q) // d).sum(axis=0) + len(half)
+    return int(counts @ w)

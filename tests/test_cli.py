@@ -300,6 +300,27 @@ class TestGaussianCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "x, d_max, r, digest",
+        [
+            ("100000000", "10", "1",
+             "3a1841036c753b3322d9074f606bbf4da6835f9b3dd794b871460118621efabe"),
+            ("100000000", "10", "2",
+             "7980c1513029e934cd69c4c920edf4da71a1bb5ecc32f6a4b84689d940d9470d"),
+            ("200000", "5000", "1",
+             "bb1907d0477de1d609c5f71b1558b7b2eab6c0cce27ba56c55657abdb42ca5d2"),
+        ],
+        ids=["x_ceiling-r1", "x_ceiling-r2", "d_max_5000"],
+    )
+    def test_pinned_ceiling_size_digest(self, capsys, x, d_max, r, digest):
+        # the largest x a table takes, and a d_max far above sqrt(x), byte
+        # for byte as the dense n blocks wrote them
+        code, out, _ = run_cli(
+            capsys, "gaussian", "--x", x, "--d-max", d_max, "--r", r
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_pinned_table_mode_digest(self, capsys, tmp_path):
         path = tmp_path / "gamma.txt"
         path.write_text(

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -350,13 +351,10 @@ class TestBlockedTable:
     @given(
         x=st.integers(1, 3000),
         d_max=st.integers(1, 100),
-        block=st.integers(8, 128),
         gamma=gammas(),
     )
-    def test_matches_dict_oracle(self, x, d_max, block, gamma):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gaussian, "_BLOCK", block)
-            table = discrepancy_table(x, d_max, gamma)
+    def test_matches_dict_oracle(self, x, d_max, gamma):
+        table = discrepancy_table(x, d_max, gamma)
         expected = oracle_rows(x, d_max, gamma)
         assert len(table.rows) == len(expected)
         for row, (d, a, count, m, err) in zip(table.rows, expected):
@@ -372,39 +370,64 @@ class TestBlockedTable:
             total += err
         assert table.total_err.hex() == total.hex()
 
-    def test_every_small_block_size(self):
-        # each block start lo = l^2 + t for small t, once per block size
+    def test_every_small_x(self):
+        # every x takes each step of M = isqrt(x - l^2), and so of each
+        # T = floor(M/e), for every l below sqrt(400)
         g = GammaSpec(r=1)
-        expected = oracle_rows(700, 30, g)
-        for block in range(1, 65):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gaussian, "_BLOCK", block)
-                table = discrepancy_table(700, 30, g)
-            assert [row.A for row in table.rows] == [e[1] for e in expected], block
+        for x in range(1, 401):
+            table = discrepancy_table(x, 30, g)
+            expected = [e[1] for e in oracle_rows(x, 30, g)]
+            assert [row.A for row in table.rows] == expected, x
+            assert all(type(row.A) is int for row in table.rows), x
 
     def test_four_distinct_primes_of_l(self):
-        # 210, 330 and 390 are the l < sqrt(x) with four distinct primes;
-        # every block size starts blocks inside their m ranges
+        # 210, 330 and 390 are the l < sqrt(x) with four distinct primes,
+        # each with 16 Moebius terms e | l
         x = 160_000
         g = GammaSpec(r=1)
         seq = sequence_a(x, g)
-        expected = [congruence_sum_A(x, d, g, seq=seq) for d in range(1, 31)]
-        for block in (997, 4096, 65537):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gaussian, "_BLOCK", block)
-                table = discrepancy_table(x, 30, g)
-            assert [row.A for row in table.rows] == expected, block
+        expected = [congruence_sum_A(x, d, g, seq=seq) for d in range(1, 71)]
+        table = discrepancy_table(x, 70, g)
+        assert [row.A for row in table.rows] == expected
 
     def test_tiny_coefficient_stays_exact(self):
-        # L = 3 * 10^30: int64 blocks would overflow, object blocks do not
+        # L = 3 * 10^30: int64 weights would overflow, Python ints do not
         g = GammaSpec(r=1, mode="table", table={1: Fraction(1, 10**30), 2: Fraction(-1, 3)})
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gaussian, "_BLOCK", 64)
-            table = discrepancy_table(1000, 12, g)
+        table = discrepancy_table(1000, 12, g)
         seq = sequence_a(1000, g)
         for row in table.rows:
             assert row.A == congruence_sum_A(1000, row.d, g, seq=seq)
         assert isinstance(table.rows[0].A, Fraction)
+        support = gaussian._support(1000, g)
+        primes_of = gaussian._phi_and_primes(31)[1]
+        (*_, w), scale = gaussian._progression_entries(1000, support, primes_of)
+        assert scale == 3 * 10**30 and w.dtype == object
+
+    def test_int64_weights_at_the_bound(self):
+        # L = 3 * 10^15 at x = 1000: 3 * L * x = 9 * 10^18 < 2^63 keeps
+        # int64 weights, and L * A_1 reaches 0.45 * L * x
+        coeffs = {l: Fraction(1, 3 * 10**15 if l == 7 else 1) for l in range(1, 32)}
+        g = GammaSpec(r=1, mode="table", table=coeffs)
+        support = gaussian._support(1000, g)
+        primes_of = gaussian._phi_and_primes(31)[1]
+        (*_, w), scale = gaussian._progression_entries(1000, support, primes_of)
+        assert scale == 3 * 10**15 and w.dtype == np.int64
+        table = discrepancy_table(1000, 60, g)
+        seq = sequence_a(1000, g)
+        for row in table.rows:
+            assert row.A == congruence_sum_A(1000, row.d, g, seq=seq), row.d
+
+    @pytest.mark.parametrize("x", [100_000, 200_000])
+    def test_matches_residue_walk_beyond_the_dict_sizes(self, x):
+        # d > sqrt(x) leaves at most one t per class and entry; 1105 =
+        # 5 * 13 * 17 has 8 roots
+        ds = [1, 2, 3, 5, 10, 13, 25, 26, 65, 85, 125, 289, 445, 449, 500,
+              613, 850, 1010, 1105]
+        signed = {l: Fraction((-1) ** l, 1 + l % 5) for l in range(1, isqrt(x) + 1)}
+        for g in (GammaSpec(r=1), GammaSpec(r=1, mode="table", table=signed)):
+            table = discrepancy_table(x, 1105, g)
+            for d in ds:
+                assert table.rows[d - 1].A == congruence_sum_A_via_residues(x, d, g), d
 
     def test_memory_ceiling_kept(self):
         with pytest.raises(ValueError, match="memory ceiling"):
