@@ -172,6 +172,7 @@ def _factor_int(n: int) -> list[tuple[int, int]]:
     m = n
     for p in _TRIAL_PRIMES:
         if p * p > m:
+            primes = [m] if m > 1 else []  # no prime below p divides m < p^2
             break
         if m % p == 0:
             e = 0
@@ -179,18 +180,10 @@ def _factor_int(n: int) -> list[tuple[int, int]]:
                 m //= p
                 e += 1
             factors.append((p, e))
-            if m == 1:
-                return factors
-            if m < 1 << 64 and is_prime(m):
-                factors.append((m, 1))
-                return factors
     else:
         # every prime factor of m exceeds the trial limit
-        primes = _prime_divisors(m)
-        return factors + [(q, primes.count(q)) for q in sorted(set(primes))]
-    if m > 1:
-        factors.append((m, 1))
-    return factors
+        primes = _prime_divisors(m) if m > 1 else []
+    return factors + [(q, primes.count(q)) for q in sorted(set(primes))]
 
 
 def _prime_divisors(m: int) -> list[int]:

@@ -9,11 +9,11 @@ harvesting multiples of each small d, so no n is factorized on its own.
 Both start from patterns of period _PERIOD = 151200 in n. The tau start,
 a read-only constant built at import by the sieve's own prime-power step,
 holds the p^j that divide _PERIOD, and the sieve adds the other p^j of
-the primes up to the cube root of hi. Alongside tau it keeps a word per
-n: its low half sums acc, a fixed-point 8 log2 of the sieved part of n,
-with each r_p = round(8 log2 p) computed once per scan, and its high half
-counts the sieved primes p > 7 with v_p(n) = 1, so that such a p's first
-pass is one add to the word and none over tau. A prime between the cube
+the primes up to the cube root of hi. Alongside tau it keeps a uint16
+word per n: its low _LOG_BITS sum acc, a fixed-point 8 log2 of the sieved
+part of n, with each r_p = round(8 log2 p) computed once per scan, and
+its high bits count the sieved primes p > 7 with v_p(n) = 1, so that such
+a p's first pass is one add to the word and none over tau. A prime between the cube
 and the square root of hi divides n at most twice and touches only a
 second log sum, sieved once per block of up to four windows, from which
 one shift of tau takes the count of such primes, the word's count and the
@@ -42,7 +42,7 @@ of a divisor of some n <= hi, and divisors pair up around sqrt(n), so it
 is at most 2 sqrt(hi), or 4 tau(n / p^2) <= 2 sqrt(hi) at the multiples of
 the square of a prime p above the cube root: int16 below 2^28, int32
 below 2^60. acc and the second log sum stay below 8.5 log2 hi: uint8
-below 2^28, uint16 above; the word is twice as wide. S takes the weight
+below 2^28, uint16 above; the word is uint16 at every height. S takes the weight
 table's dtype: int32 when c's numerator times the sum of the clamped
 weights and c's denominator times 2 sqrt(n_max) stay below 2^31. tau is
 widened to it only to be multiplied by c's denominator.
@@ -327,6 +327,14 @@ def _scan_primes(limit: int) -> list[tuple[int, int]]:
     return [(p, _log_weight(p)) for p in sieve_primes(limit)]
 
 
+# The tau sieve's uint16 word per n: the log in its low _LOG_BITS, the count
+# of primes above them. Adding _UNIT counts a prime; adding _DOWN takes one
+# back, modulo 2^16 (see _tau_segment).
+_LOG_BITS = 11
+_UNIT = 1 << _LOG_BITS
+_DOWN = (1 << 16) - _UNIT
+
+
 def _tau_dtypes(hi: int) -> tuple[type, type]:
     """The dtypes of _tau_segment's tau and acc arrays for a window ending
     at hi: tau <= 2 sqrt(hi) and acc < 8.5 log2 hi, as proved there."""
@@ -485,8 +493,8 @@ def _power_step(tau, acc, sqfree, s: int, q: int, j: int, r: int) -> None:
     s + q, ...: at j = 1 tau doubles; at j >= 2 tau is divided by j and
     multiplied by j + 1, and at j = 2 sqfree is cleared. The division is
     exact: every multiple of p^j is a multiple of p^(j-1), whose pass left
-    the factor j in its tau. acc, or the low half of _tau_segment's word,
-    gains r = r_p."""
+    the factor j in its tau. acc, or the low _LOG_BITS of _tau_segment's
+    word, gains r = r_p."""
     view = tau[s::q]
     if j > 1:
         view //= j
@@ -532,22 +540,22 @@ def _tau_segment(
     ascending, as the (p, r_p) pairs of _scan_primes.
 
     tau, sqfree and a word per n start from a copy of _TAU_START, which
-    holds every p^j | n with p^j | _PERIOD. The word's low half is acc,
-    which starts as the start's log sum; above it, from unit = 2^shift on,
+    holds every p^j | n with p^j | _PERIOD. The word's low _LOG_BITS are
+    acc, which starts as the start's log sum; above them, from _UNIT on,
     it counts primes. A strided sieve adds the other powers of the small
     sieving primes, p <= max(7, icbrt(hi)): for each q = p^j <= hi that
     does not divide _PERIOD, the multiples of q in the window are the basic
     slice [(-lo) % q :: q]. For p <= 7 that slice takes q's _power_step,
     whose division is exact also after the start, made by the same passes.
-    A p > 7 makes one pass at j = 1, which adds unit + r_p to the word:
+    A p > 7 makes one pass at j = 1, which adds _UNIT + r_p to the word:
     tau's factor 2 becomes a count. At j = 2, tau is multiplied by 3 and
-    the word gains r_p - unit, modulo its range, which takes the count back
-    where v_p(n) >= 2. From j = 3 on, _power_step's division by j is exact:
-    the pass of p^(j - 1) left the factor j, 3 at j = 3. So tau is the
-    product of v_p(n) + 1 over 2, 3, 5, 7 and the small p > 7 with
-    v_p(n) >= 2, the count is the number of small p > 7 with v_p(n) = 1,
-    and acc sums v_p(n) r_p over the small p. A p | _PERIOD with p^2 > hi
-    divides n at most once, which the start holds.
+    the word gains _DOWN + r_p, which is r_p - _UNIT modulo 2^16: that
+    takes the count back where v_p(n) >= 2. From j = 3 on, _power_step's
+    division by j is exact: the pass of p^(j - 1) left the factor j, 3 at
+    j = 3. So tau is the product of v_p(n) + 1 over 2, 3, 5, 7 and the
+    small p > 7 with v_p(n) >= 2, the count is the number of small p > 7
+    with v_p(n) = 1, and acc sums v_p(n) r_p over the small p. A p | _PERIOD
+    with p^2 > hi divides n at most once, which the start holds.
 
     A large sieving prime, p > max(7, icbrt(hi)), has p^3 > hi, so an
     n <= hi has at most two of them, counted with multiplicity. Such a p
@@ -582,33 +590,33 @@ def _tau_segment(
     afterwards.
 
     tau, acc and big take the dtypes of _tau_dtypes(hi), which hold every
-    value they pass through, and the word is twice as wide as acc, uint16
-    below 2^28 and uint32 above. Each value of tau, also between the
-    division and the multiplication, is the tau of a divisor of n, so at
-    most 2 sqrt(hi), but at the multiples of a large p^2 before the 3/4:
-    there it is 4 tau(n / p^2) <= 8 (hi / p^2)^(1/2) < 8 hi^(1/6) <=
-    2 sqrt(hi), as hi >= 64. acc + big < 8.5 log2 hi, under 238 below 2^28,
-    bounds acc, so the word's low half, and big, and k's steps keep big at
-    most 8E + 9. The count is at most the number of primes from 11 on whose
-    product is at most hi: 6 below 2^28 and 12 below 2^60, far inside the
-    high half; it is at least 1 where the j = 2 pass takes it back, as
-    every multiple of p^2 is one of p. The final shift is at most the count
-    plus 2. The returned tau is therefore int16 below 2^28; callers widen
-    it before any arithmetic that could leave that range. The word and acc
-    take the first 3 bytes per n of the workspace's scratch block (6 from
-    2^28); tau and sqfree are its buffers.
+    value they pass through. Each value of tau, also between the division
+    and the multiplication, is the tau of a divisor of n, so at most
+    2 sqrt(hi), but at the multiples of a large p^2 before the 3/4: there
+    it is 4 tau(n / p^2) <= 8 (hi / p^2)^(1/2) < 8 hi^(1/6) <= 2 sqrt(hi),
+    as hi >= 64. So int64 tau holds below 2^124, and the word's layout is
+    proved up to there. acc + big < 8.5 log2 hi, under 238 below 2^28 and
+    1054 below 2^124, bounds acc, and big, and k's steps keep big at most
+    8E + 9. The word is uint16 at every height: its log is acc, under
+    2^_LOG_BITS = 2048, and its count, in the 5 bits above, is at most the
+    number of primes from 11 on whose product is at most hi: 6 below 2^28,
+    12 below 2^60 and 22 below 2^124. The count is at least 1 where the
+    j = 2 pass takes it back, as every multiple of p^2 is one of p. The
+    final shift is at most the count plus 2. The returned tau is therefore
+    int16 below 2^28; callers widen it before any arithmetic that could
+    leave that range. The word and acc take the first 2 + acc bytes per n
+    of the workspace's scratch block, 3 below 2^28 and 4 above; tau and
+    sqfree are its buffers.
     """
     length = hi - lo + 1
     blo, top = block or (lo, hi)
     tau_dtype, acc_dtype = _tau_dtypes(top)
-    width = np.dtype(acc_dtype).itemsize
-    shift = 8 * width  # the word: the log in its low half, the count above
-    unit, down = 1 << shift, (1 << 2 * shift) - (1 << shift)
-    ws = ws or _Workspace(length, 3 * width)
+    width = 2 + np.dtype(acc_dtype).itemsize  # scratch bytes per n: word and acc
+    ws = ws or _Workspace(length, width)
     tau, sqfree = ws.take("tau", tau_dtype, length), ws.take("sqfree", bool, length)
-    scratch = ws.block(length, 3 * width)
-    word = scratch[: 2 * width * length].view(f"u{2 * width}")
-    acc = scratch[2 * width * length : 3 * width * length].view(acc_dtype)
+    scratch = ws.block(length, width)
+    word = scratch[: 2 * length].view(np.uint16)
+    acc = scratch[2 * length : width * length].view(acc_dtype)
     for a, out in zip(_TAU_START, (tau, word, sqfree)):
         _tile(a, lo, out)
     cube = max(7, integer_kth_root(top, 3))
@@ -620,13 +628,13 @@ def _tau_segment(
             s = (-lo) % p
             if s >= length:
                 continue
-            word[s::p] += unit + r
+            word[s::p] += _UNIT + r
             q = p * p
             s = (-lo) % q
             if s >= length:
                 continue
             tau[s::q] *= 3
-            word[s::q] += down + r  # takes the count back, modulo the word
+            word[s::q] += _DOWN + r  # takes the count back, modulo 2^16
             sqfree[s::q] = False
             q, j = q * p, 3
         while _PERIOD % q == 0:  # the start holds p^j
@@ -641,8 +649,8 @@ def _tau_segment(
     for s, q in squares:
         sqfree[s::q] = False
     E = top.bit_length() - 1
-    np.bitwise_and(word, unit - 1, out=acc)
-    word >>= shift  # the count of the p > 7 with v_p(n) = 1
+    np.bitwise_and(word, _UNIT - 1, out=acc)
+    word >>= _LOG_BITS  # the count of the p > 7 with v_p(n) = 1
     acc += big  # the log of P
     big += 1  # big becomes k = ceil(ceil(big / 2) / (2E + 2))
     big >>= 1
@@ -968,16 +976,6 @@ class _Checkpoint:
 # drivers
 
 
-def _segments(cfg: CensusConfig) -> list[tuple[int, int]]:
-    out = []
-    lo = 1
-    while lo <= cfg.n_max:
-        hi = min(lo + cfg.segment_size - 1, cfg.n_max)
-        out.append((lo, hi))
-        lo = hi + 1
-    return out
-
-
 def verify_range(
     cfg: CensusConfig,
     checkpoint: str | None = None,
@@ -993,20 +991,18 @@ def verify_range(
     A corrupt record, or one whose digest does not match, raises
     CheckpointError.
     Raises ScanInterrupted after checkpointing when stop_event is set.
+    progress(done, total) is called from the worker threads, one call at
+    a time.
     """
     t0 = time.monotonic()
     w, c = _weight_table(cfg)
     # the kernels compare with c; the report and the checkpoint keep cfg
     scan_cfg = cfg if c is None else replace(cfg, constant=c)
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
-    segments = _segments(cfg)
-    # one workspace per worker thread, for this scan only
-    local = threading.local()
+    segments = [(lo, min(lo + cfg.segment_size - 1, cfg.n_max))
+                for lo in range(1, cfg.n_max + 1, cfg.segment_size)]
     size = min(_WINDOW, cfg.segment_size, cfg.n_max)
     block_bytes = np.dtype(_ratio_dtype(cfg)).itemsize
-
-    def make_workspace() -> None:
-        local.ws = _Workspace(size, block_bytes)
 
     ckpt, done = None, {}
     if checkpoint is not None:
@@ -1015,39 +1011,43 @@ def verify_range(
         ckpt.open_for_append()
 
     results = {seg: done[seg] for seg in segments if seg in done}
-    pending = [seg for seg in segments if seg not in results]
+    pending = iter([seg for seg in segments if seg not in results])
+    lock, halt = threading.Lock(), threading.Event()
 
-    def check_stop() -> None:
-        if stop_event is not None and stop_event.is_set():
-            raise ScanInterrupted("scan interrupted; completed segments checkpointed")
+    def work() -> None:
+        # Each worker pulls segments until none is left, stop_event is set,
+        # or halt is: by a fault in any worker or the caller leaving. The
+        # segment it is on still finishes and reaches the checkpoint.
+        ws = _Workspace(size, block_bytes)  # this worker's, for this scan only
+        try:
+            while True:
+                with lock:
+                    stop = halt.is_set() or (stop_event is not None and stop_event.is_set())
+                    seg = None if stop else next(pending, None)
+                if seg is None:
+                    return
+                res = _scan_segment(*seg, scan_cfg, w, primes, collect_equalities, ws)
+                if ckpt is not None:
+                    ckpt.record(res)
+                with lock:
+                    results[seg] = res
+                    if progress is not None:
+                        progress(len(results), len(segments))
+        finally:
+            halt.set()  # a stop or a fault halts the others; after the last segment it is moot
 
-    def run_one(seg: tuple[int, int]) -> _SegmentResult:
-        # A worker left free while the main thread waits on a slow segment
-        # must not start queued ones after a stop. It raises rather than
-        # return a placeholder, which could race past the main thread's
-        # check into the results.
-        check_stop()
-        lo, hi = seg
-        res = _scan_segment(lo, hi, scan_cfg, w, primes, collect_equalities, local.ws)
-        if ckpt is not None:
-            ckpt.record(res)
-        return res
-
-    # Results are read in submission order, with a stop check before each.
-    # On a stop or an exception the queued segments are cancelled; the
-    # running ones finish and reach the checkpoint before it closes.
-    pool = ThreadPoolExecutor(max_workers=cfg.workers, initializer=make_workspace)
+    workers = max(1, min(cfg.workers, len(segments) - len(results)))
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        futures = [pool.submit(run_one, seg) for seg in pending]
-        for seg, fut in zip(pending, futures):
-            check_stop()
-            results[seg] = fut.result()
-            if progress is not None:
-                progress(len(results), len(segments))
+        for fut in [pool.submit(work) for _ in range(workers)]:
+            fut.result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        halt.set()
+        pool.shutdown()
         if ckpt is not None:
             ckpt.close()
+    if len(results) < len(segments):
+        raise ScanInterrupted("scan interrupted; completed segments checkpointed")
 
     total = _merge(
         1, cfg.n_max, [results[seg] for seg in segments], collect_equalities

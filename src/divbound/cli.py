@@ -15,6 +15,7 @@ import os
 import signal
 import sys
 import threading
+import traceback
 from fractions import Fraction
 
 from .arith import DEFAULT_SEGMENT_SIZE
@@ -294,6 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAULT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_FAULT
+    except Exception as exc:  # exit 1 stays reserved for a violation
+        traceback.print_exc()
+        print(f"internal fault: {exc!r}", file=sys.stderr)
         return EXIT_FAULT
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -585,21 +586,26 @@ class TestSegmentKernels:
             assert np.array_equal(t, want_t) and np.array_equal(sq, want_sq), (lo, hi)
 
     def test_word_fields_hold_their_largest_values(self):
-        # the word keeps the log of the sieved part of n in its low half and
-        # the count of primes p > 7 with v_p(n) = 1 above it. The proof
-        # bounds the log by 8.5 log2 hi and the count by the most such
-        # primes whose product stays below hi: 6 below 2^28, 12 below 2^60
-        ps = [p for p in sieve_primes(100) if p > 7]
-        for top, most in ((2**28 - 1, 6), (2**60 - 1, 12)):
+        # the uint16 word keeps the log of the sieved part of n in its low
+        # _LOG_BITS and the count of primes p > 7 with v_p(n) = 1 above
+        # them. The proof bounds the log by 8.5 log2 hi and the count by the
+        # most such primes whose product stays below hi: 6 below 2^28, 12
+        # below 2^60 and 22 below 2^124, where int64 tau ends
+        assert census._UNIT == 1 << census._LOG_BITS
+        assert census._DOWN + census._UNIT == 1 << 16
+        ps = [p for p in sieve_primes(200) if p > 7]
+        for top, most in ((2**28 - 1, 6), (2**60 - 1, 12), (2**124 - 1, 22)):
             assert prod(ps[:most]) <= top < prod(ps[: most + 1])
             acc_dtype = _tau_dtypes(top)[1]
-            shift = 8 * np.dtype(acc_dtype).itemsize
             log = int(8.5 * log2(top))
-            assert log < 1 << shift
-            word = np.array([(most << shift) + log], dtype=f"u{shift // 4}")
+            assert log < census._UNIT
+            assert log < np.iinfo(acc_dtype).max
+            word = np.array([most * census._UNIT + log], dtype=np.uint16)
+            word += census._UNIT  # one more prime counted, then taken back
+            word += census._DOWN
             acc = np.empty(1, dtype=acc_dtype)
-            np.bitwise_and(word, (1 << shift) - 1, out=acc)
-            word >>= shift
+            np.bitwise_and(word, census._UNIT - 1, out=acc)
+            word >>= census._LOG_BITS
             assert (int(acc[0]), int(word[0])) == (log, most)
         # the kernel at those counts: 8 * 11 * ... * 29 below 2^28, and
         # 2 * 11 * ... * 31 above it, where tau and the log widen
@@ -1045,6 +1051,48 @@ class TestVerifyRange:
             del rec["digest"]
             assert rec == _oracle_segment(rec["lo"], rec["hi"], cfg, rows)
 
+    def test_memory_per_segment_is_bounded(self):
+        # the scan holds one small result per segment until the merge, and
+        # no future or queued work item: the 1,800 segments that [1, 6000]
+        # adds to [1, 600] in segments of 3 n raise the tracemalloc peak by
+        # under 1 KB each (about 2 KB with a future per segment up front)
+        def peak(n_max: int) -> int:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            verify_range(CensusConfig(n_max=n_max, segment_size=3, workers=2))
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            peak(600)  # first-call allocations stay out of the difference
+            small, large = peak(600), peak(6000)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (large - small) / 1800 < 1024, (small, large)
+
+    def test_workers_share_one_segment_iterator(self, tmp_path):
+        # four workers, more than the cores, switching often over 1,000
+        # segments: every segment is scanned and recorded once, and progress
+        # counts 1, 2, ..., 1000 in order, which a lost or doubled update of
+        # the shared results would break
+        cfg = CensusConfig(n_max=3000, segment_size=3, workers=4)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = verify_range(cfg, checkpoint=str(tmp_path / "scan.ckpt"),
+                                  progress=lambda done, total: calls.append((done, total)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [(i, 1000) for i in range(1, 1001)]
+        records = [json.loads(r) for r in (tmp_path / "scan.ckpt").read_text().splitlines()[1:]]
+        assert sorted((r["lo"], r["hi"]) for r in records) == [
+            (lo, lo + 2) for lo in range(1, 3001, 3)]
+        assert report.to_json() == verify_range(replace(cfg, workers=1)).to_json()
+
 
 _WS_N_MAX = (1 << 28) + (1 << 21)
 _WS_PRIMES = _scan_primes(isqrt(_WS_N_MAX))
@@ -1300,6 +1348,26 @@ class TestTripleCount:
         t, _ = _tau_segment(1, n_max, _scan_primes(isqrt(n_max)))
         assert int(t.max()) < 1032
 
+    @pytest.mark.skipif(os.environ.get("DIVBOUND_SLOW_TESTS") != "1",
+                        reason="opt-in, about 20 s on two cores: DIVBOUND_SLOW_TESTS=1")
+    def test_census_of_10_9_is_pinned(self):
+        # the payload of [1, 10^9] byte for byte; its equalities are the
+        # triples alone, as no n <= 10^9 with tau(n) >= 1032 is one
+        proc = subprocess.run(
+            [sys.executable, "-m", "divbound.cli", "verify", "--max", str(10**9),
+             "--threads", "2"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "3daa0e1fcc88c4e9e752e216c6a3c3a60f20cbf3feda78aae042fbfc3eccee1f")
+        payload = json.loads(proc.stdout)
+        assert payload["violations"] == 0
+        assert payload["equalities"] == triple_count(10**9) == 6_792_728
+        assert payload["max_ratio"] == {"num": 8, "den": 1, "float": 8.0}
+        assert payload["argmax_n"] == 385
+        assert payload["segments_processed"] == 239
+
 
 class TestCheckpointing:
     def test_resume_matches_uninterrupted(self, tmp_path):
@@ -1514,6 +1582,15 @@ class TestInterruption:
     def test_failed_segment_cancels_queued_segments(self, monkeypatch):
         cfg = CensusConfig(n_max=20000, segment_size=1000, workers=2)
         started = _slowed_segments(monkeypatch, fail_lo=1)
+        with pytest.raises(RuntimeError, match="segment fault"):
+            verify_range(cfg)
+        assert len(started) < 20
+
+    def test_fault_in_another_worker_halts_the_one_waited_on(self, monkeypatch):
+        # the caller waits on the loop that took segment 1 while the other
+        # loop faults on segment 1001: the first must stop taking segments
+        cfg = CensusConfig(n_max=20000, segment_size=1000, workers=2)
+        started = _slowed_segments(monkeypatch, fail_lo=1001)
         with pytest.raises(RuntimeError, match="segment fault"):
             verify_range(cfg)
         assert len(started) < 20

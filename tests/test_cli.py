@@ -133,6 +133,18 @@ class TestVerifyCommand:
         assert code == 3
         assert "checkpoint" in err.lower()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unexpected_exception_exits_3_not_1(self, capsys, monkeypatch, threads):
+        # exit 1 is reserved for a violation; a fault nothing maps is exit 3
+        def scan(*args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr("divbound.census._scan_segment", scan)
+        code, out, err = run_cli(capsys, "verify", "--max", "1000", "--threads", threads)
+        assert code == 3 and out == ""
+        assert "internal fault: RuntimeError('kernel fault')" in err
+        assert "Traceback" in err
+
     def test_constant_too_small_for_int64_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--max", "9000", "--eta", "40",
