@@ -6,24 +6,24 @@ segmented, and each segment is compared _WINDOW n at a time. In a window
 tau comes from a strided sieve over prime powers p^j <= hi, which updates
 tau in place on the basic slice of multiples of each p^j, and S from
 harvesting multiples of each small d, so no n is factorized on its own.
-Both start from patterns of period _PERIOD = 151200 in n. The tau start,
-a read-only constant built at import by the sieve's own prime-power step,
-holds the p^j that divide _PERIOD, and the sieve adds the other p^j of
-the primes up to the cube root of hi. Alongside tau it keeps a uint16
-word per n: its low _LOG_BITS sum acc, a fixed-point 8 log2 of the sieved
-part of n, with each r_p = round(8 log2 p) computed once per scan, and
-its high bits count the sieved primes p > 7 with v_p(n) = 1, so that such
-a p's first pass is one add to the word and none over tau. A prime between the cube
-and the square root of hi divides n at most twice and touches only a
-second log sum, sieved once per block of up to four windows, from which
-one shift of tau takes the count of such primes, the word's count and the
-single prime above sqrt(hi) that may be left over. S starts from two
-prefix patterns, of periods _PERIOD and _PERIOD2 = 10296: the weights of
-the d with d^k <= lo that divide _PERIOD, and of those that divide only
-_PERIOD2. Every other d adds its weight from max(lo, d^k) on, one strided
-slice per d. Only integer S takes the patterns: integer sums do not
-depend on the order of the adds, and float64 sums keep the ascending
-order of d bit for bit.
+Both start from patterns of period _PERIOD = 151200 in n. The tau start, a
+read-only constant built at import by the sieve's own prime-power step,
+holds the p^j that divide _PERIOD, and the sieve adds the other p^j of the
+primes up to the cube root of hi, every one by the same rule
+(_power_step). Alongside tau it keeps a uint16 word per n: its low
+_LOG_BITS sum acc, a fixed-point 8 log2 of the sieved part of n, with each
+r_p = round(8 log2 p) computed once per scan, and its high bits count the
+small primes p with v_p(n) = 1, so that a prime's first pass is one add to
+the word and none over tau. A prime between the cube and the square root
+of hi divides n at most twice and touches only a second log sum, sieved
+once per block of up to four windows, from which one shift of tau takes
+the count of such primes, the word's count and the single prime above
+sqrt(hi) that may be left over. S starts from two prefix patterns, of
+periods _PERIOD and _PERIOD2 = 10296: the weights of the d with d^k <= lo
+that divide _PERIOD, and of those that divide only _PERIOD2. Every other d
+adds its weight from max(lo, d^k) on, one strided slice per d. Only
+integer S takes the patterns: integer sums do not depend on the order of
+the adds, and float64 sums keep the ascending order of d bit for bit.
 
 Each worker thread of a scan keeps one _Workspace: tau, sqfree, S, a
 scratch block for the sieve's word and log sum and then the ratios, the
@@ -49,8 +49,9 @@ widened to it only to be multiplied by c's denominator.
 
 A window takes its counts, equality list and maximum from one candidate
 set that provably holds every violation and equality (_compare_window).
-Counters merge order-independently, so reports are identical for any
-worker count, segment size or window size.
+Counters merge order-independently, and the equality list is sorted once
+at the end, so reports are identical for any worker count, segment size
+or window size.
 """
 
 from __future__ import annotations
@@ -488,43 +489,52 @@ def _add_tiled(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
     tail += pattern[: len(tail)]
 
 
-def _power_step(tau, acc, sqfree, s: int, q: int, j: int, r: int) -> None:
+def _power_step(tau, word, sqfree, s: int, q: int, j: int, r: int) -> None:
     """The tau sieve's pass over the multiples of q = p^j, the indices s,
-    s + q, ...: at j = 1 tau doubles; at j >= 2 tau is divided by j and
-    multiplied by j + 1, and at j = 2 sqfree is cleared. The division is
-    exact: every multiple of p^j is a multiple of p^(j-1), whose pass left
-    the factor j in its tau. acc, or the low _LOG_BITS of _tau_segment's
-    word, gains r = r_p."""
+    s + q, ..., and the one rule of every small sieving prime, with
+    r = r_p. At j = 1 the word gains _UNIT + r: it counts p. At j = 2 tau
+    triples, the word gains _DOWN + r, which is r - _UNIT modulo 2^16 and
+    takes the count back, and sqfree is cleared. From j = 3 on tau is
+    divided by j and multiplied by j + 1, and the word gains r. The
+    division is exact: every multiple of p^j is one of p^(j-1), whose pass
+    left the factor j in its tau (3 at j = 3). So after the passes up to
+    p^j, with v_p = min(v_p(n), j), tau holds v_p + 1 where v_p >= 2, the
+    count holds p where v_p = 1, and the word's low _LOG_BITS gain
+    v_p r_p."""
+    if j == 1:
+        word[s::q] += _UNIT + r
+        return
     view = tau[s::q]
-    if j > 1:
+    if j > 2:
         view //= j
     view *= j + 1
-    acc[s::q] += r
+    word[s::q] += r if j > 2 else _DOWN + r
     if j == 2:
         sqfree[s::q] = False
 
 
 def _tau_start() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tau, acc and sqfree for the n with n % _PERIOD == i, i in
+    """tau, the word and sqfree for the n with n % _PERIOD == i, i in
     [0, _PERIOD), from the p^e || _PERIOD alone (e = 5, 3, 2, 1 for
-    p = 2, 3, 5, 7): the passes of every p^j | _PERIOD from index 0. With
-    v = min(v_p(i), e), which is min(v_p(n), e) as p^e divides _PERIOD,
-    tau is the product of (v + 1), at most 144, acc the sum of v r_p and
-    sqfree says v < 2 for every p. uint8, uint8 and bool, read-only."""
+    p = 2, 3, 5, 7): the _power_step of every p^j | _PERIOD from index 0.
+    With v = min(v_p(i), e), which is min(v_p(n), e) as p^e divides
+    _PERIOD, tau is the product of v + 1 over the p with v >= 2, at most
+    72, the word counts the p with v = 1 above its log, the sum of v r_p,
+    and sqfree says v < 2 for every p. uint8, uint16 and bool, read-only."""
     tau = np.ones(_PERIOD, dtype=np.uint8)
-    acc = np.zeros(_PERIOD, dtype=np.uint8)
+    word = np.zeros(_PERIOD, dtype=np.uint16)
     sqfree = np.ones(_PERIOD, dtype=bool)
     for p in (2, 3, 5, 7):
         q, j = p, 1
         while _PERIOD % q == 0:
-            _power_step(tau, acc, sqfree, 0, q, j, _log_weight(p))
+            _power_step(tau, word, sqfree, 0, q, j, _log_weight(p))
             q, j = q * p, j + 1
-    for a in (tau, acc, sqfree):
+    for a in (tau, word, sqfree):
         a.flags.writeable = False
-    return tau, acc, sqfree
+    return tau, word, sqfree
 
 
-_TAU_START = _tau_start()  # the tau sieve's start, built once per process: 0.45 MB
+_TAU_START = _tau_start()  # the tau sieve's start, built once per process: 0.6 MB
 
 
 def _tau_segment(
@@ -541,21 +551,15 @@ def _tau_segment(
 
     tau, sqfree and a word per n start from a copy of _TAU_START, which
     holds every p^j | n with p^j | _PERIOD. The word's low _LOG_BITS are
-    acc, which starts as the start's log sum; above them, from _UNIT on,
-    it counts primes. A strided sieve adds the other powers of the small
-    sieving primes, p <= max(7, icbrt(hi)): for each q = p^j <= hi that
-    does not divide _PERIOD, the multiples of q in the window are the basic
-    slice [(-lo) % q :: q]. For p <= 7 that slice takes q's _power_step,
-    whose division is exact also after the start, made by the same passes.
-    A p > 7 makes one pass at j = 1, which adds _UNIT + r_p to the word:
-    tau's factor 2 becomes a count. At j = 2, tau is multiplied by 3 and
-    the word gains _DOWN + r_p, which is r_p - _UNIT modulo 2^16: that
-    takes the count back where v_p(n) >= 2. From j = 3 on, _power_step's
-    division by j is exact: the pass of p^(j - 1) left the factor j, 3 at
-    j = 3. So tau is the product of v_p(n) + 1 over 2, 3, 5, 7 and the
-    small p > 7 with v_p(n) >= 2, the count is the number of small p > 7
-    with v_p(n) = 1, and acc sums v_p(n) r_p over the small p. A p | _PERIOD
-    with p^2 > hi divides n at most once, which the start holds.
+    acc; above them, from _UNIT on, it counts primes. A strided sieve adds
+    the other powers of the small sieving primes, p <= max(7, icbrt(hi)):
+    for each q = p^j <= hi that does not divide _PERIOD, the multiples of q
+    in the window are the basic slice [(-lo) % q :: q], which takes q's
+    _power_step, the rule that built the start. So tau is the product of
+    v_p(n) + 1 over the small p with v_p(n) >= 2, the count is the number
+    of small p with v_p(n) = 1, and acc sums v_p(n) r_p over the small p.
+    A p | _PERIOD with p^2 > hi divides n at most once, which the start
+    holds.
 
     A large sieving prime, p > max(7, icbrt(hi)), has p^3 > hi, so an
     n <= hi has at most two of them, counted with multiplicity. Such a p
@@ -599,8 +603,8 @@ def _tau_segment(
     1054 below 2^124, bounds acc, and big, and k's steps keep big at most
     8E + 9. The word is uint16 at every height: its log is acc, under
     2^_LOG_BITS = 2048, and its count, in the 5 bits above, is at most the
-    number of primes from 11 on whose product is at most hi: 6 below 2^28,
-    12 below 2^60 and 22 below 2^124. The count is at least 1 where the
+    number of primes from 2 on whose product is at most hi: 9 below 2^28,
+    15 below 2^60 and 25 below 2^124. The count is at least 1 where the
     j = 2 pass takes it back, as every multiple of p^2 is one of p. The
     final shift is at most the count plus 2. The returned tau is therefore
     int16 below 2^28; callers widen it before any arithmetic that could
@@ -624,19 +628,6 @@ def _tau_segment(
         if p > cube:
             break
         q, j = p, 1
-        if p > 7:  # p's first two passes put v_p = 1 into the word's count
-            s = (-lo) % p
-            if s >= length:
-                continue
-            word[s::p] += _UNIT + r
-            q = p * p
-            s = (-lo) % q
-            if s >= length:
-                continue
-            tau[s::q] *= 3
-            word[s::q] += _DOWN + r  # takes the count back, modulo 2^16
-            sqfree[s::q] = False
-            q, j = q * p, 3
         while _PERIOD % q == 0:  # the start holds p^j
             q, j = q * p, j + 1
         while q <= hi:
@@ -650,7 +641,7 @@ def _tau_segment(
         sqfree[s::q] = False
     E = top.bit_length() - 1
     np.bitwise_and(word, _UNIT - 1, out=acc)
-    word >>= _LOG_BITS  # the count of the p > 7 with v_p(n) = 1
+    word >>= _LOG_BITS  # the count of the small p with v_p(n) = 1
     acc += big  # the log of P
     big += 1  # big becomes k = ceil(ceil(big / 2) / (2E + 2))
     big >>= 1
@@ -725,23 +716,18 @@ def _ratio_greater(num_a, den_a, n_a: int, num_b, den_b, n_b: int) -> bool:
     return n_a < n_b
 
 
-def _merge(
-    lo: int, hi: int, results: list[_SegmentResult], collect: bool
-) -> _SegmentResult:
-    """One result for [lo, hi] from results that cover it in order: counts
-    add, equality lists concatenate, and the best ratio wins (ties to the
-    smaller n). The start value (0, 1, -1) loses to any real ratio."""
-    out = _SegmentResult(lo, hi, 0, 0, 0, 1, -1, [] if collect else None)
-    for r in results:
-        out.violations += r.violations
-        out.equalities += r.equalities
-        if collect:
-            out.equality_ns += r.equality_ns
-        if _ratio_greater(
-            r.max_num, r.max_den, r.argmax_n, out.max_num, out.max_den, out.argmax_n
-        ):
-            out.max_num, out.max_den, out.argmax_n = r.max_num, r.max_den, r.argmax_n
-    return out
+def _merge(out: _SegmentResult, r: _SegmentResult) -> None:
+    """Fold r into out in place: counts add, r's equality list extends
+    out's, and the better ratio stays (ties to the smaller n). The start
+    value (0, 1, -1) loses to any real ratio."""
+    out.violations += r.violations
+    out.equalities += r.equalities
+    if out.equality_ns is not None:
+        out.equality_ns += r.equality_ns
+    if _ratio_greater(
+        r.max_num, r.max_den, r.argmax_n, out.max_num, out.max_den, out.argmax_n
+    ):
+        out.max_num, out.max_den, out.argmax_n = r.max_num, r.max_den, r.argmax_n
 
 
 def _scan_segment(
@@ -749,19 +735,16 @@ def _scan_segment(
     collect: bool, ws: _Workspace,
 ) -> _SegmentResult:
     """[lo, hi] compared _WINDOW n at a time in the worker's workspace,
-    in blocks of at most _BLOCK n that end at hi at the latest, merged into
-    one result. Clamped weights lower only ratios below 1; a best ratio
-    below 1 (no prime in a tiny segment) is redone n by n, so records keep
-    exact S."""
-    windows = []
+    in blocks of at most _BLOCK n that end at hi at the latest, each
+    window folded into one result as it finishes. Clamped weights lower
+    only ratios below 1; a best ratio below 1 (no prime in a tiny segment)
+    is redone n by n, so records keep exact S."""
+    res = _SegmentResult(lo, hi, 0, 0, 0, 1, -1, [] if collect else None)
     for b_lo in range(lo, hi + 1, _BLOCK):
         block = (b_lo, min(b_lo + _BLOCK - 1, hi))
-        windows += [
-            _compare_window(a, min(a + _WINDOW - 1, block[1]), cfg, w, primes, collect,
-                            ws, block)
-            for a in range(b_lo, block[1] + 1, _WINDOW)
-        ]
-    res = _merge(lo, hi, windows, collect)
+        for a in range(b_lo, block[1] + 1, _WINDOW):
+            _merge(res, _compare_window(a, min(a + _WINDOW - 1, block[1]), cfg, w, primes,
+                                        collect, ws, block))
     if cfg.exact and res.max_num < res.max_den:
         res.max_num, res.max_den, res.argmax_n = _scan_segment_python(lo, hi, cfg)
     return res
@@ -999,10 +982,13 @@ def verify_range(
     # the kernels compare with c; the report and the checkpoint keep cfg
     scan_cfg = cfg if c is None else replace(cfg, constant=c)
     primes = _scan_primes(max(isqrt(cfg.n_max), 2))
-    segments = [(lo, min(lo + cfg.segment_size - 1, cfg.n_max))
-                for lo in range(1, cfg.n_max + 1, cfg.segment_size)]
     size = min(_WINDOW, cfg.segment_size, cfg.n_max)
     block_bytes = np.dtype(_ratio_dtype(cfg)).itemsize
+
+    starts = range(1, cfg.n_max + 1, cfg.segment_size)
+
+    def segments():  # (lo, hi) of each segment, ascending
+        return ((lo, min(lo + cfg.segment_size - 1, cfg.n_max)) for lo in starts)
 
     ckpt, done = None, {}
     if checkpoint is not None:
@@ -1010,14 +996,21 @@ def verify_range(
         done = ckpt.load()
         ckpt.open_for_append()
 
-    results = {seg: done[seg] for seg in segments if seg in done}
-    pending = iter([seg for seg in segments if seg not in results])
+    # every segment is folded into total as it finishes, the resumed ones first
+    total = _SegmentResult(1, cfg.n_max, 0, 0, 0, 1, -1, [] if collect_equalities else None)
+    count, finished = len(starts), 0
+    for seg in segments():
+        if seg in done:
+            _merge(total, done[seg])
+            finished += 1
+    pending = (seg for seg in segments() if seg not in done)
     lock, halt = threading.Lock(), threading.Event()
 
     def work() -> None:
         # Each worker pulls segments until none is left, stop_event is set,
         # or halt is: by a fault in any worker or the caller leaving. The
         # segment it is on still finishes and reaches the checkpoint.
+        nonlocal finished
         ws = _Workspace(size, block_bytes)  # this worker's, for this scan only
         try:
             while True:
@@ -1030,13 +1023,14 @@ def verify_range(
                 if ckpt is not None:
                     ckpt.record(res)
                 with lock:
-                    results[seg] = res
+                    _merge(total, res)
+                    finished += 1
                     if progress is not None:
-                        progress(len(results), len(segments))
+                        progress(finished, count)
         finally:
             halt.set()  # a stop or a fault halts the others; after the last segment it is moot
 
-    workers = max(1, min(cfg.workers, len(segments) - len(results)))
+    workers = max(1, min(cfg.workers, count - finished))
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         for fut in [pool.submit(work) for _ in range(workers)]:
@@ -1046,12 +1040,11 @@ def verify_range(
         pool.shutdown()
         if ckpt is not None:
             ckpt.close()
-    if len(results) < len(segments):
+    if finished < count:
         raise ScanInterrupted("scan interrupted; completed segments checkpointed")
 
-    total = _merge(
-        1, cfg.n_max, [results[seg] for seg in segments], collect_equalities
-    )
+    if collect_equalities:
+        total.equality_ns.sort()  # segments finish in any order
     if cfg.exact:
         max_ratio: Fraction | float = Fraction(int(total.max_num), int(total.max_den))
     else:
@@ -1064,7 +1057,7 @@ def verify_range(
         max_ratio=max_ratio,
         argmax_n=total.argmax_n,
         elapsed=time.monotonic() - t0,
-        segments_processed=len(results),
+        segments_processed=count,
         equality_ns=total.equality_ns,
     )
 

@@ -3,8 +3,8 @@ package implementation."""
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import gcd, isqrt
+from itertools import accumulate, product
+from math import gcd, isqrt, prod
 
 
 def oracle_divisors(n: int) -> list[int]:
@@ -95,4 +95,59 @@ def triple_count(n_max: int) -> int:
             if r_max <= q:
                 break  # r_max only falls as q grows
             total += pi[r_max] - pi[q]
+    return total
+
+
+def high_tau_numbers(n_max: int, floor: int = 1032):
+    """Every n <= n_max with tau(n) >= floor, as (n, [(p, e), ...]) in no
+    set order, by a depth-first walk that picks each prime of n and its
+    exponent in ascending order of the primes.
+
+    A branch at m, with tau(m) = t and every further prime at least p, is
+    cut when t * 2^K < floor, K the most prime factors, counted with
+    multiplicity, that the rest of n can have: the largest K with
+    p^K <= n_max // m. tau of the rest is at most 2^K, and K only falls as
+    p grows, so no later prime is tried either. With floor = 1032 this
+    lists the only n that can be an equality or a violation beyond the
+    three-prime ones of triple_count.
+    """
+    primes = [2]
+
+    def prime(i: int) -> int:
+        while len(primes) <= i:
+            q = primes[-1] + 1
+            while not oracle_is_prime(q):
+                q += 1
+            primes.append(q)
+        return primes[i]
+
+    def walk(m: int, t: int, i: int, factors: list[tuple[int, int]]):
+        if t >= floor:
+            yield m, factors
+        budget = n_max // m
+        while True:
+            p, K = prime(i), 0
+            while p ** (K + 1) <= budget:
+                K += 1
+            if K == 0 or t << K < floor:
+                return
+            q, e = p, 1
+            while q <= budget:
+                yield from walk(m * q, t * (e + 1), i + 1, factors + [(p, e)])
+                q, e = q * p, e + 1
+            i += 1
+
+    return walk(1, 1, 0, [])
+
+
+def weight_sum_from_exponents(factors: list[tuple[int, int]], k: int = 4,
+                              eta: int = 7) -> int:
+    """S(n) for n = prod p^e over factors, from the exponents alone: the sum
+    of tau(d)^eta over the d = prod p^a, 0 <= a <= e, with d^k <= n."""
+    n = prod(p**e for p, e in factors)
+    total = 0
+    for exps in product(*(range(e + 1) for _, e in factors)):
+        d = prod(p**a for (p, _), a in zip(factors, exps))
+        if d**k <= n:
+            total += prod(a + 1 for a in exps) ** eta
     return total

@@ -38,11 +38,13 @@ from divbound.census import (
     verify_range,
 )
 from oracles import (
+    high_tau_numbers,
     oracle_divisors,
     oracle_factor,
     oracle_tau,
     oracle_weight_sum,
     triple_count,
+    weight_sum_from_exponents,
 )
 
 
@@ -587,15 +589,16 @@ class TestSegmentKernels:
 
     def test_word_fields_hold_their_largest_values(self):
         # the uint16 word keeps the log of the sieved part of n in its low
-        # _LOG_BITS and the count of primes p > 7 with v_p(n) = 1 above
+        # _LOG_BITS and the count of small primes p with v_p(n) = 1 above
         # them. The proof bounds the log by 8.5 log2 hi and the count by the
-        # most such primes whose product stays below hi: 6 below 2^28, 12
-        # below 2^60 and 22 below 2^124, where int64 tau ends
+        # most primes from 2 on whose product stays below hi: 9 below 2^28,
+        # 15 below 2^60 and 25 below 2^124, where int64 tau ends
         assert census._UNIT == 1 << census._LOG_BITS
         assert census._DOWN + census._UNIT == 1 << 16
-        ps = [p for p in sieve_primes(200) if p > 7]
-        for top, most in ((2**28 - 1, 6), (2**60 - 1, 12), (2**124 - 1, 22)):
+        ps = sieve_primes(200)
+        for top, most in ((2**28 - 1, 9), (2**60 - 1, 15), (2**124 - 1, 25)):
             assert prod(ps[:most]) <= top < prod(ps[: most + 1])
+            assert most < 1 << (16 - census._LOG_BITS)
             acc_dtype = _tau_dtypes(top)[1]
             log = int(8.5 * log2(top))
             assert log < census._UNIT
@@ -607,10 +610,10 @@ class TestSegmentKernels:
             np.bitwise_and(word, census._UNIT - 1, out=acc)
             word >>= census._LOG_BITS
             assert (int(acc[0]), int(word[0])) == (log, most)
-        # the kernel at those counts: 8 * 11 * ... * 29 below 2^28, and
-        # 2 * 11 * ... * 31 above it, where tau and the log widen
-        for n in (8 * prod(ps[:6]), 2 * prod(ps[:7])):
-            assert n < 2**31
+        # the kernel at those counts: 2 * 3 * ... * 23 below 2^28, and
+        # 4 * 3 * 5 * ... * 23 above it, where tau and the log widen
+        assert prod(ps[:9]) == 223_092_870 < 2**28 < 446_185_740
+        for n in (223_092_870, 446_185_740):
             _check_tau_segment(n - 100, n + 100)
 
     def test_log_weight_is_within_half_of_8_log2_p(self):
@@ -739,17 +742,21 @@ class TestSegmentKernels:
 
     def test_tau_start_matches_gcd_oracle(self):
         # the start at i holds what the p^j | _PERIOD say of every n with
-        # n % _PERIOD == i: with g = gcd(i, _PERIOD), tau(g), the sum of
-        # v_p(g) r_p and whether g is squarefree
+        # n % _PERIOD == i: with g = gcd(i, _PERIOD), the product of
+        # v_p(g) + 1 over the p with v_p(g) >= 2, the word that counts the p
+        # with v_p(g) = 1 above the sum of v_p(g) r_p, and whether g is
+        # squarefree
         start = census._TAU_START
-        assert [a.dtype for a in start] == [np.uint8, np.uint8, np.bool_]
+        assert [a.dtype for a in start] == [np.uint8, np.uint16, np.bool_]
         assert not any(a.flags.writeable for a in start)
         assert all(len(a) == _P for a in start)
         g = np.gcd(np.arange(_P), _P).tolist()
         want = {}
         for x in set(g):
             f = oracle_factor(x)
-            want[x] = (oracle_tau(x), sum(a * _log_weight(p) for p, a in f),
+            want[x] = (prod(a + 1 for _, a in f if a >= 2),
+                       sum(a == 1 for _, a in f) << census._LOG_BITS
+                       | sum(a * _log_weight(p) for p, a in f),
                        all(a == 1 for _, a in f))
         assert len(want) == 144
         for i, got in enumerate(zip(*(a.tolist() for a in start))):
@@ -1052,10 +1059,11 @@ class TestVerifyRange:
             assert rec == _oracle_segment(rec["lo"], rec["hi"], cfg, rows)
 
     def test_memory_per_segment_is_bounded(self):
-        # the scan holds one small result per segment until the merge, and
-        # no future or queued work item: the 1,800 segments that [1, 6000]
-        # adds to [1, 600] in segments of 3 n raise the tracemalloc peak by
-        # under 1 KB each (about 2 KB with a future per segment up front)
+        # the scan folds each result as it finishes and keeps no span, result,
+        # future or queued work item per segment: the 1,800 segments that
+        # [1, 6000] adds to [1, 600] in segments of 3 n raise the tracemalloc
+        # peak by under 256 B each (about 0.5 KB with a result kept per
+        # segment, about 2 KB with a future per segment up front)
         def peak(n_max: int) -> int:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -1071,7 +1079,7 @@ class TestVerifyRange:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert (large - small) / 1800 < 1024, (small, large)
+        assert (large - small) / 1800 < 256, (small, large)
 
     def test_workers_share_one_segment_iterator(self, tmp_path):
         # four workers, more than the cores, switching often over 1,000
@@ -1092,6 +1100,16 @@ class TestVerifyRange:
         assert sorted((r["lo"], r["hi"]) for r in records) == [
             (lo, lo + 2) for lo in range(1, 3001, 3)]
         assert report.to_json() == verify_range(replace(cfg, workers=1)).to_json()
+
+    def test_equalities_stay_ascending_when_segments_finish_out_of_order(self, monkeypatch):
+        # the first segment, held for a second, finishes after the other
+        # worker has folded the equalities of all the rest
+        cfg = CensusConfig(n_max=6000, segment_size=1000, workers=2)
+        want = verify_range(replace(cfg, workers=1), collect_equalities=True).equality_ns
+        _slowed_segments(monkeypatch, slow_lo=1)
+        got = verify_range(cfg, collect_equalities=True).equality_ns
+        assert want[0] < 1000 < want[-1]
+        assert got == want == sorted(want)
 
 
 _WS_N_MAX = (1 << 28) + (1 << 21)
@@ -1325,8 +1343,8 @@ class TestEqualityCensus:
 
 
 class TestTripleCount:
-    """The equality count derived a second way: while tau(n) < 1032 on the
-    range, equality holds exactly at n = pqr with p^3 > qr."""
+    """The equality count derived a second way: equality holds at n = pqr
+    with p^3 > qr, and can hold elsewhere only where tau(n) >= 1032."""
 
     def test_triple_count_matches_factoring(self):
         count = 0
@@ -1347,6 +1365,33 @@ class TestTripleCount:
         # the argument's premise: tau(n) >= 8 * (1 + 2^7) needs tau(n) >= 1032
         t, _ = _tau_segment(1, n_max, _scan_primes(isqrt(n_max)))
         assert int(t.max()) < 1032
+
+    @pytest.mark.parametrize("n_max, floor", [(3000, 1), (20000, 24), (20000, 60)])
+    def test_high_tau_lister_matches_divisor_counts(self, n_max, floor):
+        # the walk's pruning loses no n: against a divisor-count sieve, with
+        # each n's factorization
+        counts = [0] * (n_max + 1)
+        for d in range(1, n_max + 1):
+            for m in range(d, n_max + 1, d):
+                counts[m] += 1
+        got = sorted(high_tau_numbers(n_max, floor))
+        assert [n for n, _ in got] == [n for n in range(1, n_max + 1) if counts[n] >= floor]
+        for n, f in got[:: max(1, len(got) // 200)]:
+            assert f == oracle_factor(n)
+            assert weight_sum_from_exponents(f) == oracle_weight_sum(n)
+
+    def test_census_of_10_9_by_structure(self):
+        # the counts of the pinned [1, 10^9] census without its sieve: the
+        # 182 n with tau(n) >= 1032, none a violation or an equality, and
+        # the three-prime equalities
+        found = sorted(high_tau_numbers(10**9))
+        assert len(found) == 182
+        taus = [prod(e + 1 for _, e in f) for _, f in found]
+        sums = [weight_sum_from_exponents(f) for _, f in found]
+        assert min(taus) >= 1032
+        assert sum(t > 8 * s for t, s in zip(taus, sums)) == 0
+        assert sum(t == 8 * s for t, s in zip(taus, sums)) == 0
+        assert triple_count(10**9) == 6_792_728
 
     @pytest.mark.skipif(os.environ.get("DIVBOUND_SLOW_TESTS") != "1",
                         reason="opt-in, about 20 s on two cores: DIVBOUND_SLOW_TESTS=1")
