@@ -8,6 +8,13 @@ powers and never exceed 1 in magnitude. A_d(x) sums a_n over multiples of
 d, and M_d(x) is its expected size given that solutions of v^2 = -1 spread
 evenly over the rho(d) residue classes.
 
+The roots of v^2 + 1 = 0 (mod d) come from the prime powers of d by one
+routine, _sqrt_minus_one_roots. rho and main_term_M factor their one d
+with factorize. discrepancy_table reads the prime powers of every
+d <= d_max from the package's smallest-prime-factor sieve,
+spf_sieve_segment, one segment of at most DEFAULT_SEGMENT_SIZE
+consecutive d at a time.
+
 Every loop over l walks one list, _support(x, gamma): the (l, gamma_l)
 with l^2 < x and gamma_l != 0, ascending. discrepancy_table reads it once
 and never materializes a_n: it counts residue progressions. Take a
@@ -51,12 +58,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from math import gcd, isqrt, lcm, sqrt
 
 import numpy as np
 
-from .arith import factorize, integer_kth_root, sieve_primes
+from .arith import (
+    DEFAULT_SEGMENT_SIZE,
+    factorize,
+    integer_kth_root,
+    sieve_primes,
+    spf_sieve_segment,
+)
 
 __all__ = [
     "GammaSpec",
@@ -180,60 +192,37 @@ def sequence_a(x: int, gamma: GammaSpec) -> dict[int, int | Fraction]:
     return a
 
 
-def _sqrt_minus_one_mod_p(p: int) -> int:
-    """A root of v^2 = -1 mod p for p = 1 (mod 4), deterministically from
-    the smallest quadratic non-residue."""
-    for c in range(2, p):
-        if pow(c, (p - 1) // 2, p) == p - 1:
-            return pow(c, (p - 1) // 4, p)
-    raise ArithmeticError(f"no non-residue found; {p} is not an odd prime")
+def _sqrt_minus_one_roots(factors: list[tuple[int, int]]) -> list[int]:
+    """The residues v in [0, d) with v^2 + 1 = 0 (mod d), ascending, for
+    the d whose prime powers p^a are the (p, a) pairs of factors.
 
-
-def _lift_root(v: int, p: int, a: int) -> int:
-    """Lift a root of v^2 + 1 = 0 from mod p to mod p^a (odd p)."""
-    mod = p
-    for _ in range(a - 1):
-        mod *= p
-        correction = (v * v + 1) % mod
-        v = (v - correction * pow(2 * v, -1, mod)) % mod
-    return v
-
-
-def _roots_and_primes(d: int) -> tuple[list[int], list[int]]:
-    """The residues v in [0, d) with v^2 + 1 = 0 (mod d), ascending, and
-    the distinct primes of d, ascending, from one factorization of d."""
-    if d < 1:
-        raise ValueError("modulus must be a positive integer")
-    if d == 1:
-        return [0], []
-    factors = factorize(d).factors
-    primes = [p for p, _ in factors]
-    components: list[tuple[int, list[int]]] = []
+    A p^a with p = 1 (mod 4) has the two roots v and p^a - v. The root
+    v = c^((p-1)/4) mod p comes from the least quadratic non-residue c,
+    and Newton's step lifts it one power of p at a time. p^a = 2 has the
+    one root 1, and any other p^a none, so d has none. One CRT step per
+    prime power merges its roots with the roots modulo the product of the
+    prime powers before it. d = 1 keeps the root 0."""
+    roots, mod = [0], 1
     for p, a in factors:
-        pa = p**a
-        if p == 2:
-            if a >= 2:
-                return [], primes
-            components.append((2, [1]))
-        elif p % 4 == 3:
-            return [], primes
+        if p == 2 and a == 1:
+            pa, local = 2, [1]
+        elif p % 4 == 1:
+            c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+            v, pa = pow(c, (p - 1) // 4, p), p
+            for _ in range(a - 1):
+                pa *= p
+                v = (v - (v * v + 1) * pow(2 * v, -1, pa)) % pa
+            local = [v, pa - v]
         else:
-            v = _lift_root(_sqrt_minus_one_mod_p(p), p, a)
-            components.append((pa, sorted((v, pa - v))))
-    roots = []
-    for combo in iter_product(*(r for _, r in components)):
-        v, mod = 0, 1
-        for (pa, _), residue in zip(components, combo):
-            # CRT merge of (v mod mod) and (residue mod pa)
-            inc = (residue - v) * pow(mod, -1, pa) % pa
-            v += mod * inc
-            mod *= pa
-        roots.append(v)
+            return []
+        inv = pow(mod, -1, pa)
+        roots = [r + mod * ((s - r) * inv % pa) for r in roots for s in local]
+        mod *= pa
     roots.sort()
     for v in roots:
-        if (v * v + 1) % d != 0:
-            raise ArithmeticError(f"internal error: {v} is not a root mod {d}")
-    return roots, primes
+        if (v * v + 1) % mod != 0:
+            raise ArithmeticError(f"internal error: {v} is not a root mod {mod}")
+    return roots
 
 
 def rho(d: int) -> tuple[int, list[int]]:
@@ -242,8 +231,9 @@ def rho(d: int) -> tuple[int, list[int]]:
     Multiplicative in d: 2 roots per prime power p^a with p = 1 (mod 4),
     one for d | 2, none once 4 | d or a prime 3 (mod 4) divides d.
     rho(1) = 1 by the empty-modulus convention (the single residue 0).
+    The roots come from factorize(d) by _sqrt_minus_one_roots, as in the table.
     """
-    roots, _ = _roots_and_primes(d)
+    roots = _sqrt_minus_one_roots(factorize(d).factors)
     return len(roots), roots
 
 
@@ -311,10 +301,10 @@ def _main_terms(x: int, support: list, phis: list[int]) -> np.ndarray:
     return np.array(terms, dtype=np.float64)
 
 
-def _coprime_mask(ls: np.ndarray, primes: list[int], masks: dict) -> np.ndarray:
-    """The ls divisible by none of primes; masks caches ls % p != 0 per p."""
+def _coprime_mask(ls: np.ndarray, factors: list, masks: dict) -> np.ndarray:
+    """The ls divisible by no prime p of factors; masks caches ls % p != 0."""
     keep = np.ones(len(ls), dtype=bool)
-    for p in primes:
+    for p, _ in factors:
         if p not in masks:
             masks[p] = ls % p != 0
         keep &= masks[p]
@@ -335,13 +325,14 @@ def main_term_M(x: int, d: int, gamma: GammaSpec) -> float:
     gamma_l * (phi(l)/l) * sqrt(x - l^2), in double precision."""
     if x < 1 or d < 1:
         raise ValueError("x and d must be >= 1")
-    roots, primes = _roots_and_primes(d)
+    factors = factorize(d).factors
+    roots = _sqrt_minus_one_roots(factors)
     if not roots:
         return 0.0
     support = _support(x, gamma)
     phis, _ = _phi_and_primes(isqrt(x))
     ls = np.array([l for l, _ in support], dtype=np.int64)
-    keep = _coprime_mask(ls, primes, {})
+    keep = _coprime_mask(ls, factors, {})
     return _scaled_main_sum(_main_terms(x, support, phis), keep, d, len(roots))
 
 
@@ -398,22 +389,25 @@ def discrepancy_table(
     masks: dict[int, np.ndarray] = {}
     rows = []
     total_err = 0.0
-    for d in range(1, d_max + 1):
-        roots, primes = _roots_and_primes(d)
-        count = len(roots)
-        a_d: int | Fraction = 0
-        m_d = 0.0
-        if count:
-            keep = _coprime_mask(l, primes, masks)
-            m_d = _scaled_main_sum(terms, keep[: len(terms)], d, count)
-            if d <= x:
-                scaled = _scaled_count(d, roots, q[keep], t[keep], w[keep])
-                a_d = Fraction(scaled, scale)
-                if a_d.denominator == 1:
-                    a_d = int(a_d)
-        err = abs(float(a_d) - m_d)
-        total_err += err
-        rows.append(GaussianRow(d, a_d, count, m_d, err))
+    for lo in range(1, d_max + 1, DEFAULT_SEGMENT_SIZE):
+        segment = spf_sieve_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, d_max))
+        for d in range(lo, segment.hi + 1):
+            factors = segment.factor(d)
+            roots = _sqrt_minus_one_roots(factors)
+            count = len(roots)
+            a_d: int | Fraction = 0
+            m_d = 0.0
+            if count:
+                keep = _coprime_mask(l, factors, masks)
+                m_d = _scaled_main_sum(terms, keep[: len(terms)], d, count)
+                if d <= x:
+                    scaled = _scaled_count(d, roots, q[keep], t[keep], w[keep])
+                    a_d = Fraction(scaled, scale)
+                    if a_d.denominator == 1:
+                        a_d = int(a_d)
+            err = abs(float(a_d) - m_d)
+            total_err += err
+            rows.append(GaussianRow(d, a_d, count, m_d, err))
     return GaussianTable(x, d_max, tuple(rows), total_err)
 
 

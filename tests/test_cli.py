@@ -321,8 +321,10 @@ class TestGaussianCommand:
              "7980c1513029e934cd69c4c920edf4da71a1bb5ecc32f6a4b84689d940d9470d"),
             ("200000", "5000", "1",
              "bb1907d0477de1d609c5f71b1558b7b2eab6c0cce27ba56c55657abdb42ca5d2"),
+            ("10000", "100000", "1",
+             "f9a80b5e2fc2dbd5c9d3a5cc765afea6d5402cf63ad3f4189750aef60803f18f"),
         ],
-        ids=["x_ceiling-r1", "x_ceiling-r2", "d_max_5000"],
+        ids=["x_ceiling-r1", "x_ceiling-r2", "d_max_5000", "d_max_100000"],
     )
     def test_pinned_ceiling_size_digest(self, capsys, x, d_max, r, digest):
         # the largest x a table takes, and a d_max far above sqrt(x), byte

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divbound import gaussian
-from divbound.arith import euler_phi, factorize
+from divbound.arith import euler_phi, factorize, is_prime
 from divbound.gaussian import (
     CostCeilingError,
     GammaSpec,
@@ -21,6 +21,9 @@ from divbound.gaussian import (
     rho,
     sequence_a,
 )
+
+# the least prime p = 1 (mod 4) above 2^50
+BIG_P = 2**50 + 145
 
 # frozen from a 60-digit decimal evaluation of the same sums
 M1_AT_100 = 47.4130511209931
@@ -162,19 +165,32 @@ class TestRho:
                 assert (v * v + 1) % d == 0 or d == 1
 
     def test_prime_power_lifting(self):
-        for pa in (5**4, 13**3, 17**2, 29**5):
+        for pa in (5**4, 13**3, 17**2, 29**5, 5**20, 2 * 13**9 * 17**4, BIG_P):
             count, roots = rho(pa)
-            assert count == 2
-            assert all((v * v + 1) % pa == 0 for v in roots)
+            assert count == (4 if pa % 2 == 0 else 2)
+            assert roots == sorted(set(roots))
+            assert all(0 <= v < pa and (v * v + 1) % pa == 0 for v in roots)
+        # factorize cannot split BIG_P^a for a >= 2 (the part is above 2^64),
+        # so the root routine takes those prime powers directly
+        assert is_prime(BIG_P) and BIG_P % 4 == 1
+        for a in (2, 3):
+            pa = BIG_P**a
+            roots = gaussian._sqrt_minus_one_roots([(BIG_P, a)])
+            assert len(roots) == 2 and roots[0] + roots[1] == pa
+            assert all(0 <= v < pa and (v * v + 1) % pa == 0 for v in roots)
 
     def test_multiplicative_on_coprime_pairs(self):
         rng = random.Random(8)
-        for _ in range(200):
-            a = rng.randrange(1, 1000)
-            b = rng.randrange(1, 1000)
+        pairs = [(rng.randrange(1, 1000), rng.randrange(1, 1000)) for _ in range(200)]
+        deep = [5**20, 2 * 13**9 * 17**4, BIG_P, 3 * 5**20, 4 * 13**9, 29**7]
+        pairs += [(a, b) for a in deep for b in deep if a < b]
+        for a, b in pairs:
             if gcd(a, b) != 1:
                 continue
-            assert rho(a * b)[0] == rho(a)[0] * rho(b)[0]
+            count, roots = rho(a * b)
+            assert count == rho(a)[0] * rho(b)[0], (a, b)
+            assert roots == sorted(set(roots))
+            assert all((v * v + 1) % (a * b) == 0 for v in roots)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -428,6 +444,19 @@ class TestBlockedTable:
             table = discrepancy_table(x, 1105, g)
             for d in ds:
                 assert table.rows[d - 1].A == congruence_sum_A_via_residues(x, d, g), d
+
+    def test_segment_walk(self, monkeypatch):
+        # segments of 64 and 63 d split the rows at other places than the
+        # one full-length segment; no row may factorize its d on its own
+        whole = discrepancy_table(1000, 5000, GammaSpec(r=1)).to_csv()
+
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called by the table")
+
+        monkeypatch.setattr(gaussian, "factorize", refuse)
+        for size in (64, 63):
+            monkeypatch.setattr(gaussian, "DEFAULT_SEGMENT_SIZE", size)
+            assert discrepancy_table(1000, 5000, GammaSpec(r=1)).to_csv() == whole, size
 
     def test_memory_ceiling_kept(self):
         with pytest.raises(ValueError, match="memory ceiling"):
